@@ -19,11 +19,14 @@ SetAssocCache::SetAssocCache(const CacheConfig &config)
     }
     if (!std::has_single_bit(cfg.numSets()))
         fatal("cache set count must be a power of two");
+    blockShift = static_cast<unsigned>(std::countr_zero(cfg.blockBytes));
+    setMask = cfg.numSets() - 1;
+    tagShift = blockShift + static_cast<unsigned>(std::popcount(setMask));
     lines.resize(cfg.numSets() * cfg.assoc);
 }
 
 bool
-SetAssocCache::access(Addr addr, bool is_write)
+SetAssocCache::accessSet(Addr addr, bool is_write)
 {
     std::uint64_t set = setIndex(addr);
     Addr tag = tagOf(addr);
@@ -38,6 +41,8 @@ SetAssocCache::access(Addr addr, bool is_write)
             line.lastUse = useClock;
             line.dirty = line.dirty || is_write;
             ++_stats.hits;
+            mruLine = static_cast<std::size_t>(&line - lines.data());
+            mruBlock = addr >> blockShift;
             return true;
         }
         // Track the LRU (or first invalid) way as the victim.
@@ -54,6 +59,8 @@ SetAssocCache::access(Addr addr, bool is_write)
     victim->tag = tag;
     victim->lastUse = useClock;
     victim->dirty = is_write;
+    mruLine = static_cast<std::size_t>(victim - lines.data());
+    mruBlock = addr >> blockShift;
     return false;
 }
 

@@ -11,6 +11,7 @@
 #ifndef MECH_CACHE_CACHE_HH
 #define MECH_CACHE_CACHE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -78,7 +79,21 @@ class SetAssocCache
      * @param is_write True for stores (sets the dirty bit).
      * @return True on hit, false on miss (block is then installed).
      */
-    bool access(Addr addr, bool is_write = false);
+    bool
+    access(Addr addr, bool is_write = false)
+    {
+        // Runs of accesses to one block (sequential fetch) find the
+        // line they touched last; a block occupies at most one way,
+        // so it is the line the set search would find.
+        if (Line &line = lines[mruLine];
+            line.valid && (addr >> blockShift) == mruBlock) {
+            line.lastUse = ++useClock;
+            line.dirty = line.dirty || is_write;
+            ++_stats.hits;
+            return true;
+        }
+        return accessSet(addr, is_write);
+    }
 
     /** True if the block containing @p addr is currently resident. */
     bool contains(Addr addr) const;
@@ -104,22 +119,43 @@ class SetAssocCache
         bool dirty = false;
     };
 
+    /** access() past the last-block check: search the set. */
+    bool accessSet(Addr addr, bool is_write);
+
     /** Set index for an address. */
     std::uint64_t
     setIndex(Addr addr) const
     {
-        return (addr / cfg.blockBytes) & (cfg.numSets() - 1);
+        return (addr >> blockShift) & setMask;
     }
 
     /** Tag for an address. */
     Addr
     tagOf(Addr addr) const
     {
-        return addr / cfg.blockBytes / cfg.numSets();
+        return addr >> tagShift;
     }
 
     CacheConfig cfg;
+
+    /**
+     * Address decomposition, precomputed from the power-of-two
+     * geometry: log2(blockBytes), numSets - 1, and
+     * log2(blockBytes * numSets).
+     */
+    unsigned blockShift = 0;
+    std::uint64_t setMask = 0;
+    unsigned tagShift = 0;
+
     std::vector<Line> lines; // numSets x assoc, row-major
+
+    /**
+     * The line last hit or filled, and the block number
+     * (addr >> blockShift) it holds while valid.  An index, not a
+     * pointer, so the cache stays copyable.
+     */
+    std::size_t mruLine = 0;
+    Addr mruBlock = 0;
     std::uint64_t useClock = 0;
     CacheStats _stats;
 };

@@ -10,6 +10,7 @@
 #ifndef MECH_CACHE_TLB_HH
 #define MECH_CACHE_TLB_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -50,10 +51,19 @@ class Tlb
         Addr vpn = addr / cfg.pageBytes;
         ++useClock;
 
+        // A vpn occupies at most one slot, so probing the last slot
+        // touched first changes nothing but the time to find it.
+        if (Slot &last = slots[mru]; last.valid && last.vpn == vpn) {
+            last.lastUse = useClock;
+            ++hits;
+            return true;
+        }
+
         Slot *victim = &slots[0];
         for (auto &slot : slots) {
             if (slot.valid && slot.vpn == vpn) {
                 slot.lastUse = useClock;
+                mru = static_cast<std::size_t>(&slot - slots.data());
                 ++hits;
                 return true;
             }
@@ -66,6 +76,7 @@ class Tlb
         }
 
         ++misses;
+        mru = static_cast<std::size_t>(victim - slots.data());
         victim->valid = true;
         victim->vpn = vpn;
         victim->lastUse = useClock;
@@ -91,6 +102,12 @@ class Tlb
 
     TlbConfig cfg;
     std::vector<Slot> slots;
+
+    /**
+     * The last slot hit or filled; an index rather than a pointer
+     * keeps Tlb copyable.
+     */
+    std::size_t mru = 0;
     std::uint64_t useClock = 0;
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;

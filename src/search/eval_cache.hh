@@ -6,9 +6,11 @@
  * design points constantly; the cache makes every revisit cost zero
  * model evaluations.  Keys use DesignPoint::hash()/operator== — the
  * stable content identity added alongside this subsystem — and
- * entries live in per-shard deques so pointers handed out stay valid
- * for the cache's lifetime, letting strategies pass results around
- * without copying.
+ * entries live in per-shard node lists so pointers handed out stay
+ * valid for the cache's lifetime, letting strategies pass results
+ * around without copying.  An empty shard allocates nothing (a
+ * default std::deque allocates its map and first block), which keeps
+ * a short-lived serve group that caches a handful of points small.
  *
  * Thread safety: the index is striped across kShards buckets selected
  * by DesignPoint::hash(), each behind its own mutex, so concurrent
@@ -27,7 +29,7 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
+#include <forward_list>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -113,8 +115,8 @@ class EvalCache
         CacheObs &o = cacheObs();
         o.inserts.inc();
         o.shards[s].inserts.inc();
-        shard.store.push_back(std::move(eval));
-        SearchEval &stored = shard.store.back();
+        shard.store.push_front(std::move(eval));
+        SearchEval &stored = shard.store.front();
         {
             // Global first-evaluation order spans every shard; the
             // counter and entry list share one light mutex, taken
@@ -148,7 +150,8 @@ class EvalCache
     struct Shard
     {
         mutable std::mutex mtx;
-        std::deque<SearchEval> store;
+        /** Entry storage; its order is irrelevant (see order). */
+        std::forward_list<SearchEval> store;
         std::unordered_map<DesignPoint, const SearchEval *,
                            DesignPointHash>
             index;

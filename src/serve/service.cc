@@ -365,9 +365,11 @@ EvalService::evaluatePoints(Group &group,
 
     // Phase 2 (pool): memoize any new L2 geometries (exclusive study
     // locks), then evaluate the misses against the shared-locked
-    // studies through one bulk index-range job — no per-task futures
-    // or allocations, one scratch PointEvaluation per chunk (the
-    // same shape as SearchEvaluator::evaluateBatch).
+    // studies through one bulk job over the flattened (miss x
+    // benchmark) matrix, as StudyRunner does — a lone miss still
+    // spreads its benchmarks' simulations across the pool.  Each
+    // cell writes only its own perBench slots through a per-chunk
+    // scratch PointEvaluation; no per-task futures or allocations.
     std::vector<SearchEval> computed(missIdx.size());
     if (!missIdx.empty()) {
         std::vector<DesignPoint> missPoints;
@@ -388,40 +390,49 @@ EvalService::evaluatePoints(Group &group,
         for (StudyEntry *entry : locked)
             guards.emplace_back(entry->rw);
 
+        const std::size_t n_be = group.backends.size();
+        const std::size_t k_objs = group.objectives.size();
+        const std::size_t n_bench = group.studies.size();
+        for (std::size_t j = 0; j < computed.size(); ++j) {
+            computed[j].point = missPoints[j];
+            computed[j].perBench.resize(n_bench * n_be * k_objs);
+        }
+
         const Group *g = &group;
+        const std::size_t cells = computed.size() * n_bench;
         pool.parallelFor(
-            missIdx.size(), pool.bulkChunk(missIdx.size()),
-            [g, &missPoints, &computed](std::size_t begin,
-                                        std::size_t end) {
-                const std::size_t n_be = g->backends.size();
-                const std::size_t k_objs = g->objectives.size();
-                const std::size_t n_bench = g->studies.size();
+            cells, pool.bulkChunk(cells),
+            [g, &computed, n_be, k_objs, n_bench](std::size_t begin,
+                                                  std::size_t end) {
                 PointEvaluation scratch;
-                for (std::size_t j = begin; j < end; ++j) {
-                    SearchEval &eval = computed[j];
-                    eval.point = missPoints[j];
-                    eval.aggregate.assign(n_be * k_objs, 0.0);
-                    eval.perBench.resize(n_bench * n_be * k_objs);
-                    for (std::size_t b = 0; b < n_bench; ++b) {
-                        const DseStudy &study = *g->studies[b]->study;
-                        study.evaluateInto(scratch, eval.point,
-                                           g->backends);
-                        for (std::size_t be = 0; be < n_be; ++be) {
-                            const EvalResult &res = scratch.results[be];
-                            for (std::size_t k = 0; k < k_objs; ++k) {
-                                double v = g->objectives[k].value(
-                                    res, eval.point);
-                                eval.perBench[(b * n_be + be) * k_objs +
-                                              k] = v;
-                                eval.aggregate[be * k_objs + k] += v;
-                            }
+                for (std::size_t c = begin; c < end; ++c) {
+                    SearchEval &eval = computed[c / n_bench];
+                    const std::size_t b = c % n_bench;
+                    g->studies[b]->study->evaluateInto(
+                        scratch, eval.point, g->backends);
+                    for (std::size_t be = 0; be < n_be; ++be) {
+                        const EvalResult &res = scratch.results[be];
+                        for (std::size_t k = 0; k < k_objs; ++k) {
+                            eval.perBench[(b * n_be + be) * k_objs + k] =
+                                g->objectives[k].value(res, eval.point);
                         }
                     }
-                    const double n = static_cast<double>(n_bench);
-                    for (double &v : eval.aggregate)
-                        v /= n;
                 }
             });
+
+        // Cross-benchmark means, summed in benchmark order on this
+        // thread: the same additions in the same order as a serial
+        // loop, so every aggregate is bit-identical at any pool size.
+        const double n = static_cast<double>(n_bench);
+        for (SearchEval &eval : computed) {
+            eval.aggregate.assign(n_be * k_objs, 0.0);
+            for (std::size_t b = 0; b < n_bench; ++b) {
+                for (std::size_t i = 0; i < n_be * k_objs; ++i)
+                    eval.aggregate[i] += eval.perBench[b * n_be * k_objs + i];
+            }
+            for (double &v : eval.aggregate)
+                v /= n;
+        }
     }
 
     // Phase 3 (this thread): publish in request order.

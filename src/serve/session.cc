@@ -26,10 +26,15 @@ IstreamLineSource::nextLine(std::string &line)
 bool
 IstreamLineSource::moreBuffered()
 {
-    // in_avail() counts bytes already sitting in the stream buffer: a
-    // piped file keeps it positive until the buffer drains, while an
-    // interactive client leaves it at zero between requests — exactly
-    // the "flush now or coalesce more?" signal we need.
+    // in_avail() counts the bytes already in the stream buffer and,
+    // once that is empty, whatever the buffer's showmanyc() reports.
+    // For std::cin that is only useful when it is not synced with C
+    // stdio (mech_serve turns the sync off): libstdc++'s filebuf then
+    // asks the descriptor (FIONREAD), so lines a pipe or file already
+    // holds coalesce into one flush, while an interactive client has
+    // nothing queued behind its line and is answered at once.  A
+    // stdio-synced std::cin always reports 0, so every line flushes
+    // alone; istringstreams report their unread remainder.
     return is.good() && is.rdbuf()->in_avail() > 0;
 }
 

@@ -1,7 +1,7 @@
 #include "sim/inorder_sim.hh"
 
+#include <algorithm>
 #include <array>
-#include <deque>
 #include <limits>
 
 #include "common/logging.hh"
@@ -18,7 +18,49 @@ struct StageEntry
 {
     std::uint64_t idx = 0; ///< dynamic trace index
     Cycles doneAt = 0;     ///< first cycle it may leave the stage
-    bool serialized = false; ///< blocks its stage while in service
+};
+
+/**
+ * FIFO contents of the execute or memory stage: at most W entries,
+ * and MachineParams::validate() caps W at 16, so a fixed ring needs
+ * no heap.
+ */
+class StageRing
+{
+  public:
+    static constexpr std::uint32_t kCapacity = 16;
+
+    bool empty() const { return count == 0; }
+    std::uint32_t size() const { return count; }
+    const StageEntry &front() const { return slots[head]; }
+
+    void
+    push_back(const StageEntry &entry)
+    {
+        slots[(head + count) & (kCapacity - 1)] = entry;
+        ++count;
+    }
+
+    void
+    pop_front()
+    {
+        head = (head + 1) & (kCapacity - 1);
+        --count;
+    }
+
+  private:
+    std::array<StageEntry, kCapacity> slots{};
+    std::uint32_t head = 0;
+    std::uint32_t count = 0;
+};
+
+/** The per-cycle stall counters an idle-cycle skip replicates. */
+constexpr Cycles SimResult::*kStallCounters[] = {
+    &SimResult::fetchMissStallCycles,
+    &SimResult::takenBubbleCycles,
+    &SimResult::mispredictStallCycles,
+    &SimResult::dependencyStallCycles,
+    &SimResult::backPressureStallCycles,
 };
 
 /**
@@ -28,6 +70,14 @@ struct StageEntry
  * instructions downstream-first so a handoff takes effect on the next
  * stage in the same clock (simultaneous shift semantics), while each
  * instruction advances at most one stage per cycle.
+ *
+ * Every timing decision compares a recorded timestamp (doneAt,
+ * regReadyAt, fetchReadyAt, the blocked-until maxima) against the
+ * current cycle.  A cycle that moves no instruction therefore repeats
+ * unchanged until the earliest such timestamp above it, so run()
+ * jumps straight there and credits the skipped cycles to the stall
+ * counters the idle cycle charged — the result is exactly that of
+ * stepping every cycle.
  */
 class Pipeline
 {
@@ -36,7 +86,7 @@ class Pipeline
         : trace(trace), cfg(config), machine(config.machine),
           hier(config.hierarchy),
           predictor(makePredictor(config.predictor)),
-          feStages(config.machine.frontendDepth)
+          feCount(config.machine.frontendDepth, 0)
     {
         machine.validate();
         regReadyAt.fill(0);
@@ -45,14 +95,28 @@ class Pipeline
     SimResult run();
 
   private:
-    /** Process one full cycle @p t. */
-    void step(Cycles t);
+    /**
+     * Process one full cycle @p t.  Returns false when the cycle
+     * moved no instruction and probed nothing (an idle cycle).
+     */
+    bool step(Cycles t);
 
-    void retireFromMem(Cycles t);
-    void execToMem(Cycles t);
-    void issue(Cycles t);
-    void shiftFrontEnd();
-    void fetch(Cycles t);
+    /** Earliest recorded timestamp above @p t, or kUnknown. */
+    Cycles nextEventAfter(Cycles t) const;
+
+    // Each stage returns true when it changed pipeline state.
+    bool retireFromMem(Cycles t);
+    bool execToMem(Cycles t);
+    bool issue(Cycles t);
+    bool shiftFrontEnd();
+    bool fetch(Cycles t);
+
+    /** Trace index of the oldest instruction in the front end. */
+    std::uint64_t
+    oldestFrontEndIdx() const
+    {
+        return nextFetchIdx - feInFlight;
+    }
 
     /** True when every source of @p di is forwardable at cycle @p t. */
     bool
@@ -122,14 +186,31 @@ class Pipeline
     /** regReadyAt[r]: first cycle a consumer entering EX may read r. */
     std::array<Cycles, kNumArchRegs> regReadyAt{};
 
-    /** Front-end stages; [0] = fetch output, [D-1] = decode buffer. */
-    std::vector<std::deque<std::uint64_t>> feStages;
+    /**
+     * Occupancy of each front-end stage; [0] = fetch output, [D-1] =
+     * decode buffer.  Instructions leave the front end in order, so
+     * together the stages hold the contiguous trace range
+     * [nextFetchIdx - feInFlight, nextFetchIdx), oldest in decode.
+     */
+    std::vector<std::uint32_t> feCount;
+
+    /** Sum of feCount. */
+    std::uint64_t feInFlight = 0;
 
     /** Execute-stage contents (<= W). */
-    std::deque<StageEntry> ex;
+    StageRing ex;
 
     /** Memory-stage contents (<= W). */
-    std::deque<StageEntry> mem;
+    StageRing mem;
+
+    /**
+     * Latest doneAt of a serialized (long-latency) execute entry and
+     * of a serialized memory access.  An entry leaves its stage only
+     * once doneAt <= t, so "some serialized entry is still in
+     * service at t" is exactly "blockedUntil > t".
+     */
+    Cycles exBlockedUntil = 0;
+    Cycles memBlockedUntil = 0;
 
     std::uint64_t nextFetchIdx = 0;
     std::uint64_t retired = 0;
@@ -151,7 +232,7 @@ class Pipeline
     FetchStall fetchStallCause = FetchStall::None;
 };
 
-void
+bool
 Pipeline::retireFromMem(Cycles t)
 {
     std::uint32_t moved = 0;
@@ -162,17 +243,16 @@ Pipeline::retireFromMem(Cycles t)
         ++retired;
         ++moved;
     }
+    return moved != 0;
 }
 
-void
+bool
 Pipeline::execToMem(Cycles t)
 {
     // A missing load "blocks up the memory stage" (paper SS2.2): while
     // a serialized access is in service, nothing enters the stage.
-    for (const auto &entry : mem) {
-        if (entry.serialized && entry.doneAt > t)
-            return;
-    }
+    if (memBlockedUntil > t)
+        return false;
 
     std::uint32_t moved = 0;
     while (!ex.empty() && moved < machine.width &&
@@ -185,8 +265,9 @@ Pipeline::execToMem(Cycles t)
         MemService svc = memService(di);
         StageEntry entry;
         entry.idx = head.idx;
-        entry.serialized = svc.serialized;
         entry.doneAt = t + svc.occupancy;
+        if (svc.serialized)
+            memBlockedUntil = std::max(memBlockedUntil, entry.doneAt);
 
         // Loads produce their value when leaving the memory stage.
         if (di.op == OpClass::Load && di.hasDst())
@@ -200,29 +281,28 @@ Pipeline::execToMem(Cycles t)
         if (svc.serialized)
             break;
     }
+    return moved != 0;
 }
 
-void
+bool
 Pipeline::issue(Cycles t)
 {
-    auto &decode = feStages[machine.frontendDepth - 1];
+    std::uint32_t &decode = feCount[machine.frontendDepth - 1];
     std::uint32_t moved = 0;
     bool stalled_on_deps = false;
 
     // A long-latency instruction in execute "blocks all subsequent
     // instructions" (paper SS2.2, in-order commit): no issue while one
     // is still executing.
-    for (const auto &entry : ex) {
-        if (entry.serialized && entry.doneAt > t) {
-            if (!decode.empty())
-                ++stats.backPressureStallCycles;
-            return;
-        }
+    if (exBlockedUntil > t) {
+        if (decode != 0)
+            ++stats.backPressureStallCycles;
+        return false;
     }
 
-    while (!decode.empty() && moved < machine.width &&
+    while (decode != 0 && moved < machine.width &&
            ex.size() < machine.width) {
-        std::uint64_t idx = decode.front();
+        std::uint64_t idx = oldestFrontEndIdx();
         const DynInstr &di = trace[idx];
 
         if (!operandsReady(di, t)) {
@@ -231,7 +311,9 @@ Pipeline::issue(Cycles t)
         }
 
         Cycles lat = machine.execLatency(di.op);
-        ex.push_back({idx, t + lat, lat > 1});
+        ex.push_back({idx, t + lat});
+        if (lat > 1)
+            exBlockedUntil = std::max(exBlockedUntil, t + lat);
 
         if (di.hasDst()) {
             // Unit and long-latency results forward out of execute;
@@ -248,7 +330,8 @@ Pipeline::issue(Cycles t)
             fetchStallCause = FetchStall::None;
         }
 
-        decode.pop_front();
+        --decode;
+        --feInFlight;
         ++moved;
 
         // A just-issued long-latency instruction immediately blocks
@@ -257,49 +340,53 @@ Pipeline::issue(Cycles t)
             break;
     }
 
-    if (moved == 0 && !decode.empty()) {
+    if (moved == 0 && decode != 0) {
         if (stalled_on_deps)
             ++stats.dependencyStallCycles;
         else
             ++stats.backPressureStallCycles;
     }
+    return moved != 0;
 }
 
-void
+bool
 Pipeline::shiftFrontEnd()
 {
-    for (std::size_t s = feStages.size() - 1; s >= 1; --s) {
-        auto &to = feStages[s];
-        auto &from = feStages[s - 1];
-        while (!from.empty() && to.size() < machine.width) {
-            to.push_back(from.front());
-            from.pop_front();
-        }
+    bool moved = false;
+    for (std::size_t s = feCount.size() - 1; s >= 1; --s) {
+        const std::uint32_t n =
+            std::min(feCount[s - 1], machine.width - feCount[s]);
+        feCount[s] += n;
+        feCount[s - 1] -= n;
+        moved |= n != 0;
     }
+    return moved;
 }
 
-void
+bool
 Pipeline::fetch(Cycles t)
 {
     if (nextFetchIdx >= trace.size())
-        return;
+        return false;
 
     if (pendingRedirectIdx != kUnknown) {
         ++stats.mispredictStallCycles;
-        return;
+        return false;
     }
     if (fetchReadyAt > t) {
         if (fetchStallCause == FetchStall::Miss)
             ++stats.fetchMissStallCycles;
         else if (fetchStallCause == FetchStall::TakenBubble)
             ++stats.takenBubbleCycles;
-        return;
+        return false;
     }
+    // Diagnostics only: read again only once a later fetch has set
+    // fetchReadyAt, so clearing it does not make the cycle active.
     fetchStallCause = FetchStall::None;
 
-    auto &stage0 = feStages[0];
+    std::uint32_t &stage0 = feCount[0];
     std::uint32_t fetched = 0;
-    while (fetched < machine.width && stage0.size() < machine.width &&
+    while (fetched < machine.width && stage0 < machine.width &&
            nextFetchIdx < trace.size()) {
         const DynInstr &di = trace[nextFetchIdx];
 
@@ -322,11 +409,12 @@ Pipeline::fetch(Cycles t)
             if (stall > 0) {
                 fetchReadyAt = t + stall;
                 fetchStallCause = FetchStall::Miss;
-                break;
+                return true; // the probe itself changed state
             }
         }
 
-        stage0.push_back(nextFetchIdx);
+        ++stage0;
+        ++feInFlight;
         ++nextFetchIdx;
         ++fetched;
 
@@ -349,16 +437,49 @@ Pipeline::fetch(Cycles t)
             }
         }
     }
+    return fetched != 0;
 }
 
-void
+bool
 Pipeline::step(Cycles t)
 {
-    retireFromMem(t);
-    execToMem(t);
-    issue(t);
-    shiftFrontEnd();
-    fetch(t);
+    // Every stage runs, whatever the earlier ones returned.
+    bool active = retireFromMem(t);
+    active |= execToMem(t);
+    active |= issue(t);
+    active |= shiftFrontEnd();
+    active |= fetch(t);
+    return active;
+}
+
+Cycles
+Pipeline::nextEventAfter(Cycles t) const
+{
+    Cycles next = kUnknown;
+    auto consider = [&](Cycles at) {
+        if (at > t && at < next)
+            next = at;
+    };
+    // Only a stage's oldest entry gates movement (in-order), and a
+    // younger one becomes oldest only in an active cycle.
+    if (!ex.empty())
+        consider(ex.front().doneAt);
+    if (!mem.empty())
+        consider(mem.front().doneAt);
+    consider(exBlockedUntil);
+    consider(memBlockedUntil);
+    consider(fetchReadyAt);
+    // Issue only ever tests the oldest front-end instruction's
+    // operands; kUnknown (a load not yet in memory) is no timestamp
+    // and is skipped by the strict "< next" above.
+    if (feInFlight != 0) {
+        const DynInstr &di = trace[oldestFrontEndIdx()];
+        for (RegIndex src : {di.src1, di.src2}) {
+            if (src != kNoReg)
+                consider(regReadyAt[src]);
+        }
+    }
+    return next;
 }
 
 SimResult
@@ -369,9 +490,26 @@ Pipeline::run()
         trace.size() * (machine.l2HitCycles + machine.memCycles +
                         machine.tlbMissCycles + 64) +
         1000000;
+    std::array<Cycles, std::size(kStallCounters)> before{};
     while (retired < trace.size()) {
-        step(t);
-        ++t;
+        for (std::size_t i = 0; i < before.size(); ++i)
+            before[i] = stats.*kStallCounters[i];
+        Cycles next = t + 1;
+        if (!step(t)) {
+            // Idle: cycles t+1 .. event-1 would replay cycle t exactly.
+            // With no pending timestamp at all, keep stepping so the
+            // deadlock guard below still fires.
+            const Cycles event = nextEventAfter(t);
+            if (event != kUnknown) {
+                const Cycles skipped = event - next;
+                for (std::size_t i = 0; i < before.size(); ++i) {
+                    Cycles &counter = stats.*kStallCounters[i];
+                    counter += (counter - before[i]) * skipped;
+                }
+                next = event;
+            }
+        }
+        t = next;
         if (t > guard)
             panic("pipeline deadlock: retired ", retired, " of ",
                   trace.size(), " instructions after ", t, " cycles");

@@ -132,6 +132,16 @@ main(int argc, char **argv)
                    &deterministic);
     parser.parse(argc, argv);
 
+    // Unsynced, std::cin reads through its own buffered filebuf, whose
+    // in_avail() also counts what the pipe or file already holds; the
+    // stdio session coalesces exactly those lines into one flush.
+    // Synced with C stdio, in_avail() is always 0 and every piped line
+    // would be its own flush.  Done before any stream I/O, and only
+    // for stdio: the TCP front end logs from several threads, and
+    // only synced standard streams are safe to share between threads.
+    if (port == 0)
+        std::ios::sync_with_stdio(false);
+
     if (!log_level.empty()) {
         const auto level = parseLogLevel(log_level);
         if (!level) {
