@@ -15,6 +15,8 @@
 #include <vector>
 
 #include "common/json.hh"
+#include "dse/study.hh"
+#include "eval/registry.hh"
 #include "serve/protocol.hh"
 #include "serve/request_queue.hh"
 #include "serve/server.hh"
@@ -564,6 +566,79 @@ TEST(ServeDeterminism, ReplayHitRateExceedsNinetyPercent)
     EXPECT_EQ(stats.misses, spec.size());
     EXPECT_GT(stats.hitRate(), 0.90);
     EXPECT_EQ(stats.cachedPoints, spec.size());
+}
+
+TEST(ServeOracle, ServedValuesMatchTheStudiesBitForBit)
+{
+    // Every served number against an independent oracle: a fresh
+    // DseStudy per benchmark evaluated directly.  Three benchmarks and
+    // a two-backend set exercise the serve layout (per-benchmark
+    // values at [(b * NBE + be) * K + k]); the points span three L2
+    // geometries and repeat one, so hits, in-flush duplicates and
+    // fresh geometries all appear.
+    const std::vector<std::string> benches = {"sha", "adpcm_d",
+                                              "patricia"};
+    const BackendSet backends = backendSet("model,sim");
+    const std::vector<Objective> objs = parseObjectives("cpi,edp");
+    const SpaceSpec spec = SpaceSpec::table2();
+    const std::vector<DesignPoint> points = {
+        defaultDesignPoint(), spec.at(5), spec.at(100), spec.at(191),
+        defaultDesignPoint()};
+
+    std::string requests;
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        requests += "{\"id\": " + std::to_string(i) +
+                    ", \"type\": \"eval\", \"point\": \"" +
+                    points[i].toKey() +
+                    "\", \"bench\": \"sha,adpcm_d,patricia\", "
+                    "\"backends\": \"model,sim\", "
+                    "\"objectives\": \"cpi,edp\"}\n";
+    }
+
+    std::vector<DseStudy> studies;
+    for (const std::string &name : benches)
+        studies.emplace_back(profileByName(name), kTraceLen);
+
+    for (unsigned threads : {1u, 3u}) {
+        EvalService service(testConfig(threads));
+        std::vector<std::string> lines = serveLines(requests, service);
+        ASSERT_EQ(lines.size(), points.size());
+        for (std::size_t i = 0; i < points.size(); ++i) {
+            json::Value v = parsedResponse(lines[i]);
+            ASSERT_EQ(typeOf(v), "result") << lines[i];
+            const json::Value *results = v.get("results");
+            ASSERT_NE(results, nullptr);
+            for (std::size_t be = 0; be < backends.size(); ++be) {
+                const std::string be_name(backends[be]->name());
+                const json::Value *r = results->get(be_name);
+                ASSERT_NE(r, nullptr) << be_name;
+                for (std::size_t k = 0; k < objs.size(); ++k) {
+                    double sum = 0.0;
+                    for (std::size_t b = 0; b < benches.size(); ++b) {
+                        const PointEvaluation ev =
+                            studies[b].evaluate(points[i], backends);
+                        const double want =
+                            objs[k].value(ev.results[be], points[i]);
+                        EXPECT_EQ(r->get("per_benchmark")
+                                      ->get(benches[b])
+                                      ->get(objs[k].name)
+                                      ->number,
+                                  want)
+                            << "threads " << threads << " point " << i
+                            << " " << be_name << " " << benches[b]
+                            << " " << objs[k].name;
+                        sum += want;
+                    }
+                    EXPECT_EQ(r->get("objectives")
+                                  ->get(objs[k].name)
+                                  ->number,
+                              sum / static_cast<double>(benches.size()))
+                        << "threads " << threads << " point " << i
+                        << " " << be_name << " " << objs[k].name;
+                }
+            }
+        }
+    }
 }
 
 // ---- batch vs the search engine -------------------------------------------
