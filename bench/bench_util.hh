@@ -118,14 +118,6 @@ makeStudy(const BenchmarkProfile &bench, const Args &args)
                                    args.instructions);
 }
 
-/** Point a runner at --profile-dir when one was given. */
-inline void
-applyProfileDir(StudyRunner &runner, const Args &args)
-{
-    if (!args.profileDir.empty())
-        runner.useProfileDir(args.profileDir);
-}
-
 /**
  * Write @p report to args.jsonPath when --json was given.
  *

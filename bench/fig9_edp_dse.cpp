@@ -35,11 +35,12 @@ main(int argc, char **argv)
     bench::BenchReport report = bench::makeReport("fig9_edp_dse");
     const double t0 = bench::monotonicSeconds();
 
-    StudyRunner runner({profileByName("adpcm_d"), profileByName("gsm_c"),
-                        profileByName("lame"), profileByName("patricia")},
-                       args.instructions, backendSet("model,sim"));
-    bench::applyProfileDir(runner, args);
-    auto results = runner.evaluateAll(space, args.threads);
+    ThreadPool pool(args.threads <= 1 ? 0 : args.threads);
+    BatchEngine engine(args.instructions, args.profileDir);
+    auto results = engine.evaluateMatrix(
+        {profileByName("adpcm_d"), profileByName("gsm_c"),
+         profileByName("lame"), profileByName("patricia")},
+        space, pool, backendSet("model,sim"));
     report.add("fig9", "sweep", "wall_seconds",
                bench::monotonicSeconds() - t0, "s");
 

@@ -63,9 +63,10 @@ reportBatchSpeedup(InstCount len, unsigned nthreads,
     const auto space = table2Space();
 
     auto timeRun = [&](unsigned threads) {
-        StudyRunner runner(benches, len); // fresh: includes profiling
+        ThreadPool pool(threads <= 1 ? 0 : threads);
+        BatchEngine engine(len); // fresh: includes profiling
         auto t0 = clock::now();
-        auto results = runner.evaluateAll(space, threads);
+        auto results = engine.evaluateMatrix(benches, space, pool);
         auto t1 = clock::now();
         bench::doNotOptimize(results.back().evals.back().model().cycles);
         return std::chrono::duration<double>(t1 - t0).count();

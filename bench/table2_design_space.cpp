@@ -77,9 +77,9 @@ main(int argc, char **argv)
     bench::BenchReport report = bench::makeReport("table2_design_space");
     const double t0 = bench::monotonicSeconds();
 
-    StudyRunner runner({profileByName(bench)}, args.instructions);
-    bench::applyProfileDir(runner, args);
-    auto evals = runner.evaluateAll(probes, args.threads);
+    ThreadPool pool(args.threads <= 1 ? 0 : args.threads);
+    BatchEngine engine(args.instructions, args.profileDir);
+    auto evals = engine.evaluateMatrix({profileByName(bench)}, probes, pool);
     const std::vector<PointEvaluation> &points = evals.at(0).evals;
     double base_cpi = points.at(0).model().cpi();
     report.add("table2", "default", "model_cpi", base_cpi, "CPI");

@@ -40,9 +40,12 @@ main(int argc, char **argv)
 
     auto space = table2Space();
 
-    StudyRunner runner({profileByName(bench_name)}, n);
-    std::vector<PointEvaluation> evals =
-        std::move(runner.evaluateAll(space, nthreads).at(0).evals);
+    ThreadPool pool(nthreads <= 1 ? 0 : nthreads);
+    BatchEngine engine(n);
+    std::vector<PointEvaluation> evals = std::move(
+        engine.evaluateMatrix({profileByName(bench_name)}, space, pool)
+            .at(0)
+            .evals);
 
     std::sort(evals.begin(), evals.end(),
               [](const auto &a, const auto &b) {

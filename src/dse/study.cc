@@ -126,15 +126,6 @@ DseStudy::prepare(const std::vector<DesignPoint> &points)
         memoryFor(point);
 }
 
-PointEvaluation
-DseStudy::evaluateWith(const MemoryStats &mem, const DesignPoint &point,
-                       const BackendSet &backends) const
-{
-    PointEvaluation ev;
-    evaluateWithInto(ev, mem, point, backends);
-    return ev;
-}
-
 void
 DseStudy::evaluateWithInto(PointEvaluation &out, const MemoryStats &mem,
                            const DesignPoint &point,
@@ -163,16 +154,18 @@ DseStudy::evaluateWithInto(PointEvaluation &out, const MemoryStats &mem,
 PointEvaluation
 DseStudy::evaluate(const DesignPoint &point, const BackendSet &backends)
 {
-    return evaluateWith(memoryFor(point), point, backends);
+    PointEvaluation ev;
+    evaluateWithInto(ev, memoryFor(point), point, backends);
+    return ev;
 }
 
 PointEvaluation
 DseStudy::evaluate(const DesignPoint &point,
                    const BackendSet &backends) const
 {
-    if (const MemoryStats *memo = findMemo(point))
-        return evaluateWith(*memo, point, backends);
-    return evaluateWith(computeMemory(point), point, backends);
+    PointEvaluation ev;
+    evaluateInto(ev, point, backends);
+    return ev;
 }
 
 void

@@ -224,12 +224,7 @@ class DseStudy
     /** Derive MemoryStats for @p point without touching the memo. */
     MemoryStats computeMemory(const DesignPoint &point) const;
 
-    /** Shared core of the mutable and const evaluate paths. */
-    PointEvaluation evaluateWith(const MemoryStats &mem,
-                                 const DesignPoint &point,
-                                 const BackendSet &backends) const;
-
-    /** evaluateWith() writing into caller-owned storage. */
+    /** Shared core of every evaluate path. */
     void evaluateWithInto(PointEvaluation &out, const MemoryStats &mem,
                           const DesignPoint &point,
                           const BackendSet &backends) const;

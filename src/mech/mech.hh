@@ -43,7 +43,6 @@
 #include "compiler/passes.hh"
 #include "dse/design_space.hh"
 #include "dse/study.hh"
-#include "dse/study_runner.hh"
 #include "eval/backend.hh"
 #include "eval/registry.hh"
 #include "isa/machine_params.hh"
@@ -60,6 +59,7 @@
 #include "power/power_model.hh"
 #include "profiler/profile_io.hh"
 #include "profiler/profiler.hh"
+#include "search/batch_engine.hh"
 #include "search/cache_io.hh"
 #include "search/eval_cache.hh"
 #include "search/evaluator.hh"

@@ -1,7 +1,5 @@
 #include "search/evaluator.hh"
 
-#include <algorithm>
-#include <future>
 #include <utility>
 
 #include "common/logging.hh"
@@ -12,12 +10,11 @@ SearchEvaluator::SearchEvaluator(std::vector<BenchmarkProfile> benches,
                                  InstCount trace_len,
                                  std::vector<Objective> objectives,
                                  BackendSet backends)
-    : benches(std::move(benches)), traceLen(trace_len),
-      objs(std::move(objectives)), backends_(std::move(backends))
+    : benches(std::move(benches)), objs(std::move(objectives)),
+      backends_(std::move(backends)), engine(trace_len)
 {
     MECH_ASSERT(!this->benches.empty(), "no benchmarks to search over");
     MECH_ASSERT(!objs.empty(), "no objectives");
-    MECH_ASSERT(!backends_.empty(), "empty backend set");
     // Only the first backend's result can feed the objectives;
     // evaluating the rest of a set would be paid-for, discarded
     // work (a "model,sim" set would run a silent simulation
@@ -30,110 +27,23 @@ SearchEvaluator::SearchEvaluator(std::vector<BenchmarkProfile> benches,
     }
 }
 
-SearchEvaluator::~SearchEvaluator() = default;
-
 void
 SearchEvaluator::useProfileDir(const std::string &dir)
 {
-    MECH_ASSERT(studies.empty(),
-                "useProfileDir must precede the first prepare()");
-    profileDir = dir;
+    engine.useProfileDir(dir);
 }
 
 void
 SearchEvaluator::prepare(const SpaceSpec &spec, ThreadPool &pool)
 {
-    if (studies.size() != benches.size()) {
-        studies.resize(benches.size());
-        std::vector<std::future<void>> built;
-        built.reserve(benches.size());
-        for (std::size_t b = 0; b < benches.size(); ++b) {
-            built.push_back(pool.submit([this, b] {
-                studies[b] = std::make_unique<DseStudy>(
-                    DseStudy::loadOrProfile(profileDir, benches[b],
-                                            traceLen));
-            }));
-        }
-        for (auto &f : built)
-            f.get();
+    studies = engine.studies(benches, pool);
+    if (std::string why =
+            admissionError(spec, spec.describe(), backends_,
+                           &studies[0]->study->profile());
+        !why.empty()) {
+        fatal(why);
     }
-
-    // Sweeping the out-of-order structure axes is paid-for, silent
-    // no-op work unless the backend actually reads them: the in-order
-    // model and simulator ignore OooParams entirely, so every swept
-    // value would evaluate to the same result.  Reject the
-    // configuration loudly instead.
-    if (spec.hasOooAxes()) {
-        bool ooo = false;
-        for (const EvalBackend *backend : backends_)
-            ooo |= backend->usesOoo();
-        if (!ooo) {
-            fatal("the space sweeps out-of-order axes (rob/iq/fu*/"
-                  "buses) but backend '", backends_[0]->name(),
-                  "' ignores them; use an out-of-order backend "
-                  "(ooo, oosim)");
-        }
-    }
-
-    // A predictor outside the profiled set would panic() deep inside
-    // a worker; turn it into an actionable configuration error here.
-    for (PredictorKind kind : spec.predictor) {
-        bool profiled = false;
-        for (const auto &bp : studies[0]->profile().branchProfiles)
-            profiled |= bp.kind == kind;
-        if (!profiled) {
-            fatal("predictor '", predictorKey(kind),
-                  "' is not in the profiled set (the study profiles "
-                  "gshare1k and hybrid3k5; see dse/study.cc)");
-        }
-    }
-
-    // Memoize every L2 geometry the spec can produce; one task per
-    // benchmark, since the geometries of one study must be computed
-    // sequentially into its memo.
-    const std::vector<DesignPoint> reps = spec.l2Geometries();
-    std::vector<std::future<void>> prepared;
-    prepared.reserve(studies.size());
-    for (auto &study : studies) {
-        DseStudy *s = study.get();
-        prepared.push_back(
-            pool.submit([s, &reps] { s->prepare(reps); }));
-    }
-    for (auto &f : prepared)
-        f.get();
-}
-
-SearchEval
-SearchEvaluator::compute(const DesignPoint &point) const
-{
-    PointEvaluation scratch;
-    return compute(point, scratch);
-}
-
-SearchEval
-SearchEvaluator::compute(const DesignPoint &point,
-                         PointEvaluation &scratch) const
-{
-    const std::size_t k_objs = objs.size();
-    SearchEval eval;
-    eval.point = point;
-    eval.aggregate.assign(k_objs, 0.0);
-    eval.perBench.resize(benches.size() * k_objs);
-
-    for (std::size_t b = 0; b < studies.size(); ++b) {
-        const DseStudy &study = *studies[b];
-        study.evaluateInto(scratch, point, backends_);
-        const EvalResult &res = scratch.results.front();
-        for (std::size_t k = 0; k < k_objs; ++k) {
-            double v = objs[k].value(res, point);
-            eval.perBench[b * k_objs + k] = v;
-            eval.aggregate[k] += v;
-        }
-    }
-    const double n = static_cast<double>(benches.size());
-    for (double &v : eval.aggregate)
-        v /= n;
-    return eval;
+    engine.prepare(studies, spec.l2Geometries(), pool);
 }
 
 std::vector<const SearchEval *>
@@ -141,57 +51,10 @@ SearchEvaluator::evaluateBatch(const std::vector<DesignPoint> &points,
                                EvalCache &cache, ThreadPool &pool,
                                SearchStats &stats) const
 {
-    MECH_ASSERT(!studies.empty() && studies[0],
+    MECH_ASSERT(!studies.empty(),
                 "prepare() must run before evaluateBatch()");
-    ++stats.batches;
-
-    // Phase 1 (coordinating thread): classify hits, intra-batch
-    // duplicates and fresh misses, counting in request order.
-    std::vector<const SearchEval *> out(points.size(), nullptr);
-    std::vector<std::size_t> missIdx;
-    std::unordered_map<DesignPoint, std::size_t, DesignPointHash>
-        fresh_pos;
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        ++stats.requested;
-        if (const SearchEval *hit = cache.find(points[i])) {
-            out[i] = hit;
-            ++stats.hits;
-        } else if (fresh_pos.count(points[i])) {
-            ++stats.hits; // duplicate within this batch
-        } else {
-            fresh_pos.emplace(points[i], missIdx.size());
-            missIdx.push_back(i);
-            ++stats.misses;
-        }
-    }
-
-    // Phase 2 (pool): evaluate the misses against the read-only
-    // studies through one bulk index-range job — no per-task futures
-    // or allocations, and a per-chunk scratch PointEvaluation reused
-    // across every (point, benchmark) evaluation of the chunk.  The
-    // inline pool takes the whole range as one chunk.
-    std::vector<SearchEval> computed(missIdx.size());
-    if (!missIdx.empty()) {
-        pool.parallelFor(
-            missIdx.size(), pool.bulkChunk(missIdx.size()),
-            [this, &points, &missIdx, &computed](std::size_t begin,
-                                                 std::size_t end) {
-                PointEvaluation scratch;
-                for (std::size_t j = begin; j < end; ++j)
-                    computed[j] = compute(points[missIdx[j]], scratch);
-            });
-    }
-
-    // Phase 3 (coordinating thread): publish in request order.
-    for (SearchEval &eval : computed)
-        cache.insert(std::move(eval));
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        if (!out[i]) {
-            out[i] = cache.find(points[i]);
-            MECH_ASSERT(out[i], "fresh evaluation missing from cache");
-        }
-    }
-    return out;
+    return engine.evaluateCached(studies, backends_, objs, points, cache,
+                                 pool, stats);
 }
 
 std::vector<std::string>

@@ -2,24 +2,14 @@
  * @file
  * Batched, cache-aware design-point evaluation for search strategies.
  *
- * SearchEvaluator owns the expensive per-benchmark state — one
- * DseStudy each (trace + profiling pass, or a loaded .mprof
- * artifact) — and turns batches of DesignPoints into SearchEvals:
- * per-benchmark objective values plus their cross-benchmark
- * aggregate, computed through a registry-selected backend (the
- * analytical model by default).
- *
- * evaluateBatch() is where the memoized cache and the thread pool
- * meet, in a deterministic three-phase dance:
- *
- *   1. on the coordinating thread, classify each requested point as
- *      a cache hit, an intra-batch duplicate (also a hit), or a
- *      fresh miss — stats are counted here, in request order, so
- *      hit/miss numbers never depend on worker scheduling;
- *   2. misses are sharded across the pool (read-only studies, const
- *      evaluation) — the only parallel phase;
- *   3. results insert into the cache in request order, again on the
- *      coordinating thread, so cache entry order is deterministic.
+ * SearchEvaluator is the search layer's face of the BatchEngine
+ * (search/batch_engine.hh): it fixes a benchmark set, one backend
+ * and an objective set, and turns batches of DesignPoints into
+ * SearchEvals — per-benchmark objective values plus their
+ * cross-benchmark aggregate — through the engine's cached path.
+ * Hits, duplicates and misses are classified and published on the
+ * calling thread in request order, so stats and cache entry order
+ * never depend on worker scheduling.
  *
  * The returned pointers alias cache entries and stay valid for the
  * cache's lifetime.
@@ -28,36 +18,18 @@
 #ifndef MECH_SEARCH_EVALUATOR_HH
 #define MECH_SEARCH_EVALUATOR_HH
 
-#include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/thread_pool.hh"
-#include "dse/study.hh"
 #include "eval/registry.hh"
+#include "search/batch_engine.hh"
 #include "search/eval_cache.hh"
 #include "search/objective.hh"
 #include "search/space_spec.hh"
 #include "workload/profile.hh"
 
 namespace mech {
-
-/** Evaluation-traffic counters for one search run. */
-struct SearchStats
-{
-    /** Point lookups requested by the strategy. */
-    std::uint64_t requested = 0;
-
-    /** Lookups served from the memo (zero model evaluations). */
-    std::uint64_t hits = 0;
-
-    /** Fresh evaluations (the quantity --budget bounds). */
-    std::uint64_t misses = 0;
-
-    /** evaluateBatch() calls. */
-    std::uint64_t batches = 0;
-};
 
 /** Shared evaluation engine behind every search strategy. */
 class SearchEvaluator
@@ -79,24 +51,22 @@ class SearchEvaluator
                     InstCount trace_len,
                     std::vector<Objective> objectives,
                     BackendSet backends = defaultBackends());
-    ~SearchEvaluator();
 
     SearchEvaluator(const SearchEvaluator &) = delete;
     SearchEvaluator &operator=(const SearchEvaluator &) = delete;
 
     /**
      * Load studies from `.mprof` artifacts under @p dir when they
-     * exist (see StudyRunner::useProfileDir).  Call before the first
+     * exist (see BatchEngine::useProfileDir).  Call before the first
      * prepare().
      */
     void useProfileDir(const std::string &dir);
 
     /**
      * Build the studies (once; parallel across @p pool) and memoize
-     * every L2 geometry of @p spec, so subsequent evaluations are
-     * read-only and thread-safe.  Also verifies the spec only uses
-     * profiled predictors — a clear error beats a worker panic.
-     * Idempotent and cumulative across specs.
+     * every L2 geometry of @p spec.  Rejects with fatal() a spec the
+     * backend cannot evaluate (see admissionError) — a clear error
+     * beats a worker panic.  Idempotent and cumulative across specs.
      */
     void prepare(const SpaceSpec &spec, ThreadPool &pool);
 
@@ -104,7 +74,7 @@ class SearchEvaluator
      * Evaluate @p points through the memo.  Returns one SearchEval
      * pointer per requested point, in request order (duplicates map
      * to the same entry).  @p stats is updated deterministically.
-     * @pre prepare() covered every geometry in @p points.
+     * @pre prepare() ran.
      */
     std::vector<const SearchEval *>
     evaluateBatch(const std::vector<DesignPoint> &points,
@@ -114,27 +84,17 @@ class SearchEvaluator
     /** Benchmark names, in construction order. */
     std::vector<std::string> benchmarkNames() const;
 
-    /** Number of benchmarks. */
-    std::size_t benchmarkCount() const { return benches.size(); }
-
     /** The objective set. */
     const std::vector<Objective> &objectives() const { return objs; }
 
   private:
-    /** Evaluate one point across all benchmarks (no cache). */
-    SearchEval compute(const DesignPoint &point) const;
-
-    /** compute() through a reusable scratch PointEvaluation, so a
-     *  model-speed evaluation allocates only the SearchEval itself. */
-    SearchEval compute(const DesignPoint &point,
-                       PointEvaluation &scratch) const;
-
     std::vector<BenchmarkProfile> benches;
-    InstCount traceLen;
     std::vector<Objective> objs;
     BackendSet backends_;
-    std::string profileDir;
-    std::vector<std::unique_ptr<DseStudy>> studies;
+    BatchEngine engine;
+
+    /** The engine's studies of benches, set by prepare(). */
+    std::vector<BatchEngine::Study *> studies;
 };
 
 } // namespace mech

@@ -1,13 +1,10 @@
 #include "serve/service.hh"
 
 #include <algorithm>
-#include <future>
+#include <map>
 #include <mutex>
 #include <ostream>
-#include <set>
-#include <shared_mutex>
 #include <sstream>
-#include <unordered_set>
 #include <utility>
 
 #include "characterize/mdesc.hh"
@@ -55,31 +52,6 @@ writeNameArray(std::ostream &os, const std::vector<std::string> &names)
 } // namespace
 
 /**
- * One benchmark's shared study: profiled (or artifact-loaded) once,
- * then reused by every group that names the benchmark.  `prepared`
- * tracks the L2 geometries whose MemoryStats the study has memoized.
- *
- * The reader-writer lock is what lets concurrent dispatcher flushes
- * share a study: preparation (which mutates the memo) holds it
- * exclusively, the evaluation fan-out holds it shared.  `seq` gives
- * every study a global order; coordinators acquire their shared
- * locks in ascending seq, so two flushes over overlapping study sets
- * can never deadlock against a pending writer.
- */
-struct EvalService::StudyEntry
-{
-    std::unique_ptr<DseStudy> study;
-
-    /** Creation order, for deadlock-free multi-study lock sequences. */
-    std::uint64_t seq = 0;
-
-    std::shared_mutex rw;
-
-    /** Guarded by rw (writers update it after prepare()). */
-    std::set<std::pair<std::uint64_t, std::uint32_t>> prepared;
-};
-
-/**
  * One (benchmarks, backends, objectives) evaluation group with its
  * own PR-4 EvalCache.  SearchEval vectors use serve layouts:
  * aggregate[be * K + k] is the cross-benchmark mean of objective k
@@ -90,7 +62,7 @@ struct EvalService::Group
 {
     std::string key;
     std::vector<std::string> benchNames;
-    std::vector<StudyEntry *> studies;
+    std::vector<BatchEngine::Study *> studies;
     BackendSet backends;
     std::vector<Objective> objectives;
     EvalCache cache;
@@ -116,7 +88,8 @@ struct EvalService::Group
 
 EvalService::EvalService(ServeConfig cfg_in)
     : cfg(std::move(cfg_in)),
-      pool(cfg.threads <= 1 ? 0 : cfg.threads)
+      pool(cfg.threads <= 1 ? 0 : cfg.threads),
+      engine(cfg.traceLen, cfg.profileDir)
 {
     MECH_ASSERT(!cfg.defaultBench.empty(),
                 "service needs a default benchmark set");
@@ -130,41 +103,6 @@ EvalService::EvalService(ServeConfig cfg_in)
 }
 
 EvalService::~EvalService() = default;
-
-void
-EvalService::buildStudies(const std::vector<std::string> &names)
-{
-    // Caller holds resolveMtx.
-    std::vector<std::pair<std::string, StudyEntry *>> missing;
-    for (const std::string &name : names) {
-        auto it = studies.find(name);
-        if (it != studies.end())
-            continue;
-        auto entry = std::make_unique<StudyEntry>();
-        entry->seq = studies.size();
-        StudyEntry *raw = entry.get();
-        studies.emplace(name, std::move(entry));
-        missing.emplace_back(name, raw);
-    }
-    if (missing.empty())
-        return;
-
-    // Profiling is the expensive part of a cold benchmark; build the
-    // new studies in parallel, one task per benchmark.
-    std::vector<std::future<void>> built;
-    built.reserve(missing.size());
-    for (auto &[name, entry] : missing) {
-        StudyEntry *e = entry;
-        const std::string bench_name = name;
-        built.push_back(pool.submit([this, e, bench_name] {
-            e->study = std::make_unique<DseStudy>(DseStudy::loadOrProfile(
-                cfg.profileDir, profileByName(bench_name),
-                cfg.traceLen));
-        }));
-    }
-    for (auto &f : built)
-        f.get();
-}
 
 void
 EvalService::loadSpill(Group &group)
@@ -274,12 +212,13 @@ EvalService::resolveGroup(const ServeRequest &req, std::string *error)
         return it->second;
 
     // Materialize the group: studies first (the expensive half).
-    buildStudies(benches);
+    std::vector<BenchmarkProfile> profiles;
+    for (const std::string &name : benches)
+        profiles.push_back(profileByName(name));
     auto group = std::make_unique<Group>();
     group->key = key;
     group->benchNames = benches;
-    for (const std::string &name : benches)
-        group->studies.push_back(studies.at(name).get());
+    group->studies = engine.studies(profiles, pool);
     group->backends = std::move(*backends);
     group->objectives = std::move(objectives);
     loadSpill(*group);
@@ -293,159 +232,20 @@ EvalService::resolveGroup(const ServeRequest &req, std::string *error)
     return raw;
 }
 
-void
-EvalService::prepareGeometries(Group &group,
-                               const std::vector<DesignPoint> &points)
-{
-    // One preparation task per study, each taking its study's lock
-    // exclusively: preparation mutates the study's geometry memo, so
-    // it must never overlap another flush's shared-lock evaluation of
-    // the same study.  The fresh-geometry list is computed under the
-    // lock — a concurrent flush may have prepared some of these
-    // geometries while this one was queued.
-    std::vector<std::future<void>> prepared;
-    for (StudyEntry *entry : group.studies) {
-        prepared.push_back(pool.submit([entry, &points] {
-            std::unique_lock<std::shared_mutex> lock(entry->rw);
-            std::vector<DesignPoint> fresh;
-            std::set<std::pair<std::uint64_t, std::uint32_t>> seen;
-            for (const DesignPoint &p : points) {
-                auto geom = std::make_pair(p.l2KB, p.l2Assoc);
-                if (entry->prepared.count(geom) || seen.count(geom))
-                    continue;
-                seen.insert(geom);
-                DesignPoint rep;
-                rep.l2KB = p.l2KB;
-                rep.l2Assoc = p.l2Assoc;
-                fresh.push_back(rep);
-            }
-            if (fresh.empty())
-                return;
-            entry->study->prepare(fresh);
-            for (const auto &geom : seen)
-                entry->prepared.insert(geom);
-        }));
-    }
-    for (auto &f : prepared)
-        f.get();
-}
-
 std::vector<const SearchEval *>
 EvalService::evaluatePoints(Group &group,
                             const std::vector<DesignPoint> &points,
                             std::vector<bool> *was_hit,
-                            FlushCounts *counts)
+                            SearchStats *counts)
 {
-    // Phase 1 (this thread): classify hits, intra-flush duplicates
-    // and fresh misses in request order, so accounting never depends
-    // on worker scheduling.  Counts accumulate locally and merge into
-    // the service counters once — concurrent flushes each account
-    // their own traffic exactly.
+    // Counts accumulate locally and merge into the service counters
+    // once — concurrent flushes each account their own traffic
+    // exactly.
     obs::TraceSpan span("service.evaluate", "serve");
-    FlushCounts local;
-    std::vector<const SearchEval *> out(points.size(), nullptr);
-    std::vector<std::size_t> missIdx;
-    std::unordered_set<DesignPoint, DesignPointHash> fresh;
-    was_hit->assign(points.size(), false);
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        ++local.requested;
-        if (const SearchEval *hit = group.cache.find(points[i])) {
-            out[i] = hit;
-            (*was_hit)[i] = true;
-            ++local.hits;
-        } else if (fresh.count(points[i])) {
-            (*was_hit)[i] = true; // duplicate within this flush
-            ++local.hits;
-        } else {
-            fresh.insert(points[i]);
-            missIdx.push_back(i);
-            ++local.misses;
-        }
-    }
-
-    // Phase 2 (pool): memoize any new L2 geometries (exclusive study
-    // locks), then evaluate the misses against the shared-locked
-    // studies through one bulk job over the flattened (miss x
-    // benchmark) matrix, as StudyRunner does — a lone miss still
-    // spreads its benchmarks' simulations across the pool.  Each
-    // cell writes only its own perBench slots through a per-chunk
-    // scratch PointEvaluation; no per-task futures or allocations.
-    std::vector<SearchEval> computed(missIdx.size());
-    if (!missIdx.empty()) {
-        std::vector<DesignPoint> missPoints;
-        missPoints.reserve(missIdx.size());
-        for (std::size_t idx : missIdx)
-            missPoints.push_back(points[idx]);
-        prepareGeometries(group, missPoints);
-
-        // Shared locks in ascending seq order (see StudyEntry), held
-        // across the whole fan-out.
-        std::vector<StudyEntry *> locked = group.studies;
-        std::sort(locked.begin(), locked.end(),
-                  [](const StudyEntry *a, const StudyEntry *b) {
-                      return a->seq < b->seq;
-                  });
-        std::vector<std::shared_lock<std::shared_mutex>> guards;
-        guards.reserve(locked.size());
-        for (StudyEntry *entry : locked)
-            guards.emplace_back(entry->rw);
-
-        const std::size_t n_be = group.backends.size();
-        const std::size_t k_objs = group.objectives.size();
-        const std::size_t n_bench = group.studies.size();
-        for (std::size_t j = 0; j < computed.size(); ++j) {
-            computed[j].point = missPoints[j];
-            computed[j].perBench.resize(n_bench * n_be * k_objs);
-        }
-
-        const Group *g = &group;
-        const std::size_t cells = computed.size() * n_bench;
-        pool.parallelFor(
-            cells, pool.bulkChunk(cells),
-            [g, &computed, n_be, k_objs, n_bench](std::size_t begin,
-                                                  std::size_t end) {
-                PointEvaluation scratch;
-                for (std::size_t c = begin; c < end; ++c) {
-                    SearchEval &eval = computed[c / n_bench];
-                    const std::size_t b = c % n_bench;
-                    g->studies[b]->study->evaluateInto(
-                        scratch, eval.point, g->backends);
-                    for (std::size_t be = 0; be < n_be; ++be) {
-                        const EvalResult &res = scratch.results[be];
-                        for (std::size_t k = 0; k < k_objs; ++k) {
-                            eval.perBench[(b * n_be + be) * k_objs + k] =
-                                g->objectives[k].value(res, eval.point);
-                        }
-                    }
-                }
-            });
-
-        // Cross-benchmark means, summed in benchmark order on this
-        // thread: the same additions in the same order as a serial
-        // loop, so every aggregate is bit-identical at any pool size.
-        const double n = static_cast<double>(n_bench);
-        for (SearchEval &eval : computed) {
-            eval.aggregate.assign(n_be * k_objs, 0.0);
-            for (std::size_t b = 0; b < n_bench; ++b) {
-                for (std::size_t i = 0; i < n_be * k_objs; ++i)
-                    eval.aggregate[i] += eval.perBench[b * n_be * k_objs + i];
-            }
-            for (double &v : eval.aggregate)
-                v /= n;
-        }
-    }
-
-    // Phase 3 (this thread): publish in request order.
-    for (SearchEval &eval : computed)
-        group.cache.insert(std::move(eval));
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        if (!out[i]) {
-            out[i] = group.cache.find(points[i]);
-            MECH_ASSERT(out[i],
-                        "fresh serve evaluation missing from cache");
-        }
-    }
-
+    SearchStats local;
+    std::vector<const SearchEval *> out = engine.evaluateCached(
+        group.studies, group.backends, group.objectives, points,
+        group.cache, pool, local, was_hit);
     {
         std::lock_guard<std::mutex> lock(statsMtx);
         counters.requested += local.requested;
@@ -458,34 +258,6 @@ EvalService::evaluatePoints(Group &group,
         *counts = local;
     return out;
 }
-
-namespace {
-
-/**
- * Check every predictor a request names against the profiled set; a
- * predictor the studies never trained would panic deep inside a
- * worker, so turn it into a client error here.
- */
-bool
-predictorsProfiled(const DseStudy &study,
-                   const std::vector<PredictorKind> &kinds,
-                   std::string *error)
-{
-    for (PredictorKind kind : kinds) {
-        bool profiled = false;
-        for (const auto &bp : study.profile().branchProfiles)
-            profiled |= bp.kind == kind;
-        if (!profiled) {
-            *error = "predictor '" + std::string(predictorKey(kind)) +
-                     "' is outside the profiled design space "
-                     "(profiled: gshare1k, hybrid3k5)";
-            return false;
-        }
-    }
-    return true;
-}
-
-} // namespace
 
 std::string
 EvalService::evalResponse(const ServeRequest &req, Group &group,
@@ -553,22 +325,11 @@ EvalService::batchResponse(const ServeRequest &req, Group &group,
                 "); rank with one engine, then validate winners "
                 "with eval requests");
     }
-    // Sweeping out-of-order axes through an in-order backend would
-    // fan out paid-for evaluations that all collapse to one result;
-    // the same rule mech_search enforces (SearchEvaluator::prepare).
-    if (spec->hasOooAxes() && !group.backends[0]->usesOoo()) {
-        return errorResponse(
-            req.idJson,
-            "space '" + req.space +
-                "' sweeps out-of-order axes (rob/iq/fu*/buses) but "
-                "backend '" +
-                std::string(group.backends[0]->name()) +
-                "' ignores them; use an out-of-order backend "
-                "(ooo, oosim)");
-    }
-    if (!predictorsProfiled(*group.studies[0]->study, spec->predictor,
-                            &error)) {
-        return errorResponse(req.idJson, error);
+    if (std::string why =
+            admissionError(*spec, req.space, group.backends,
+                           &group.studies[0]->study->profile());
+        !why.empty()) {
+        return errorResponse(req.idJson, why);
     }
 
     const std::uint64_t n = spec->size();
@@ -580,7 +341,7 @@ EvalService::batchResponse(const ServeRequest &req, Group &group,
     // Per-call accounting: under concurrent sessions the global
     // counters move underneath us, so the response's "cache" object
     // reports this flush's own classification, which is exact.
-    FlushCounts flush;
+    SearchStats flush;
     std::vector<bool> was_hit;
     std::vector<const SearchEval *> evals =
         evaluatePoints(group, points, &was_hit, &flush);
@@ -669,17 +430,19 @@ EvalService::handleFlush(const std::vector<ServeRequest> &requests)
 
         if (req.type == RequestType::Eval) {
             const DesignPoint &point = *req.point;
-            if (std::string why = SpaceSpec::single(point).check();
-                !why.empty()) {
+            const SpaceSpec single = SpaceSpec::single(point);
+            if (std::string why = single.check(); !why.empty()) {
                 responses[i] = errorResponse(
                     req.idJson, "invalid design point '" +
                                     point.toKey() + "': " + why);
                 ++errorReqs;
                 continue;
             }
-            if (!predictorsProfiled(*group->studies[0]->study,
-                                    {point.predictor}, &error)) {
-                responses[i] = errorResponse(req.idJson, error);
+            if (std::string why = admissionError(
+                    single, {}, group->backends,
+                    &group->studies[0]->study->profile(), false);
+                !why.empty()) {
+                responses[i] = errorResponse(req.idJson, why);
                 ++errorReqs;
                 continue;
             }

@@ -8,10 +8,10 @@
  * arrive naming arbitrary (benchmarks, backends, objectives)
  * combinations, so the service keeps
  *
- *   - a study pool: one DseStudy per benchmark name, profiled once
- *     (or loaded from a .mprof artifact) on first use and shared by
- *     every request that names the benchmark, with cumulative
- *     L2-geometry preparation so evaluations stay read-only;
+ *   - one BatchEngine (search/batch_engine.hh): one DseStudy per
+ *     benchmark name, profiled once (or loaded from a .mprof
+ *     artifact) on first use and shared by every request that names
+ *     the benchmark, plus the one evaluation fan-out;
  *   - evaluation groups: one per distinct
  *     (benchmarks, backends, objectives) combination, each owning a
  *     PR-4 EvalCache keyed by DesignPoint identity — repeat requests
@@ -21,17 +21,14 @@
  *
  * Concurrency: handleFlush() is safe to call from any number of
  * dispatcher threads at once (the epoll front end runs several).
- * Registry maps sit behind a resolve mutex, traffic counters behind
- * a stats mutex, and each study behind a reader-writer lock —
- * geometry preparation takes it exclusively, the evaluation fan-out
- * holds it shared (in a global study order, so concurrent flushes
- * over overlapping study sets cannot deadlock).
+ * Group maps sit behind a resolve mutex, traffic counters behind a
+ * stats mutex, and each study behind the engine's reader-writer lock.
  *
  * Determinism: within one flush, hits and misses are classified and
- * inserted on the calling thread in request order — the exact
- * three-phase dance of SearchEvaluator::evaluateBatch() — so for a
- * single client session response bodies are byte-identical at any
- * worker count.  Across concurrent sessions the "cached" flags
+ * inserted on the calling thread in request order — the engine's
+ * cached path, the same one SearchEvaluator::evaluateBatch() takes —
+ * so for a single client session response bodies are byte-identical
+ * at any worker count.  Across concurrent sessions the "cached" flags
  * truthfully reflect arrival interleaving (a point another session
  * just computed is a hit), which is inherently timing-dependent;
  * every numeric result is interleaving-independent.
@@ -57,12 +54,8 @@
 
 #include "common/thread_pool.hh"
 #include "common/types.hh"
+#include "search/batch_engine.hh"
 #include "serve/protocol.hh"
-
-namespace mech {
-class DseStudy;
-struct SearchEval;
-}
 
 namespace mech::serve {
 
@@ -210,40 +203,24 @@ class EvalService
 
   private:
     struct Group;
-    struct StudyEntry;
-
-    /** Per-flush cache accounting (per call, not global deltas). */
-    struct FlushCounts
-    {
-        std::uint64_t requested = 0;
-        std::uint64_t hits = 0;
-        std::uint64_t misses = 0;
-    };
 
     /** Resolve names; null plus @p error on failure. */
     Group *resolveGroup(const ServeRequest &req, std::string *error);
 
-    /** The study-pool entry for @p bench, building it on first use. */
-    void buildStudies(const std::vector<std::string> &names);
-
     /** Reload @p group's memo from its spill file, if one is valid. */
     void loadSpill(Group &group);
 
-    /** Memoize any unprepared L2 geometries of @p points. */
-    void prepareGeometries(Group &group,
-                           const std::vector<DesignPoint> &points);
-
     /**
-     * Evaluate @p points through @p group's memo (deterministic
-     * three-phase hit/miss split).  @p was_hit gets one flag per
-     * point: true when it was answered without a fresh evaluation.
-     * @p counts (optional) receives this call's own accounting.
+     * Evaluate @p points through @p group's memo on the engine's
+     * cached path.  @p was_hit gets one flag per point: true when it
+     * was answered without a fresh evaluation.  @p counts (optional)
+     * receives this call's own accounting.
      */
     std::vector<const SearchEval *>
     evaluatePoints(Group &group,
                    const std::vector<DesignPoint> &points,
                    std::vector<bool> *was_hit,
-                   FlushCounts *counts = nullptr);
+                   SearchStats *counts = nullptr);
 
     std::string evalResponse(const ServeRequest &req, Group &group,
                              const SearchEval &eval, bool was_hit);
@@ -255,10 +232,12 @@ class EvalService
     ServeConfig cfg;
     ThreadPool pool;
 
-    /** Guards studies, groupList and groupIndex (a leaf-ward lock:
-     *  statsMtx may nest inside it, never the reverse). */
+    /** The studies every group shares, and the evaluation fan-out. */
+    BatchEngine engine;
+
+    /** Guards groupList and groupIndex (a leaf-ward lock: statsMtx
+     *  may nest inside it, never the reverse). */
     mutable std::mutex resolveMtx;
-    std::map<std::string, std::unique_ptr<StudyEntry>> studies;
     std::vector<std::unique_ptr<Group>> groupList;
     std::map<std::string, Group *> groupIndex;
 

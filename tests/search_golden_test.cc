@@ -3,9 +3,9 @@
  * End-to-end guarantees of the search engine:
  *
  *  - golden equivalence: exhaustive search over the Table 2 spec
- *    reproduces the existing StudyRunner results exactly (bitwise
- *    CPI and EDP per point) and lands on the same model-side
- *    EDP-optimal configuration Fig. 9's workflow picks;
+ *    (the engine's cached path) reproduces its matrix path exactly
+ *    (bitwise CPI and EDP per point) and lands on the same
+ *    model-side EDP-optimal configuration Fig. 9's workflow picks;
  *  - determinism: the same seed and budget produce bit-identical
  *    search JSON at 1, 2 and 8 worker threads, for every strategy;
  *  - cache semantics: revisits are hits, fresh evaluations respect
@@ -19,7 +19,7 @@
 #include <gtest/gtest.h>
 
 #include "dse/design_space.hh"
-#include "dse/study_runner.hh"
+#include "search/batch_engine.hh"
 #include "search/report.hh"
 #include "search/strategy.hh"
 #include "workload/suites.hh"
@@ -28,6 +28,19 @@ namespace mech {
 namespace {
 
 constexpr InstCount kLen = 20000;
+
+/** The matrix path's evaluations of @p bench over @p points. */
+std::vector<PointEvaluation>
+matrixSweep(const std::string &bench,
+            const std::vector<DesignPoint> &points)
+{
+    ThreadPool pool(0);
+    BatchEngine engine(kLen);
+    return std::move(
+        engine.evaluateMatrix({profileByName(bench)}, points, pool)
+            .at(0)
+            .evals);
+}
 
 /** A fresh evaluator over @p benches with @p objective_csv. */
 SearchEvaluator
@@ -45,14 +58,12 @@ TEST(SearchGolden, ExhaustiveTable2MatchesStudyRunnerExactly)
 {
     const std::string bench = "gsm_c";
 
-    // The pre-existing path: StudyRunner over the eager 192-point
-    // list.
-    StudyRunner runner({profileByName(bench)}, kLen);
+    // The matrix path over the eager 192-point list.
     auto space = table2Space();
-    auto runner_results = runner.evaluateAll(space, 1);
-    ASSERT_EQ(runner_results[0].evals.size(), space.size());
+    const std::vector<PointEvaluation> matrix = matrixSweep(bench, space);
+    ASSERT_EQ(matrix.size(), space.size());
 
-    // The new path: exhaustive search over the table2 spec with
+    // The cached path: exhaustive search over the table2 spec with
     // cpi + edp objectives.
     SearchEvaluator evaluator = makeEvaluator({bench}, "cpi,edp");
     SearchOptions opts;
@@ -66,7 +77,7 @@ TEST(SearchGolden, ExhaustiveTable2MatchesStudyRunnerExactly)
     EXPECT_EQ(result.stats.hits, 0u);
     for (std::size_t i = 0; i < space.size(); ++i) {
         const SearchEval &eval = *result.evaluated[i];
-        const EvalResult &model = runner_results[0].evals[i].model();
+        const EvalResult &model = matrix[i].model();
         // Same enumeration order, bitwise-equal model numbers.
         EXPECT_TRUE(eval.point == space[i]) << "index " << i;
         EXPECT_EQ(eval.aggregate[0], model.cpi()) << "index " << i;
@@ -78,13 +89,10 @@ TEST(SearchGolden, ExhaustiveFindsTheFig9EdpOptimalPoint)
 {
     // Fig. 9's workflow: the model ranks the Table 2 space by EDP
     // and picks the optimum.  The search engine must land on the
-    // same configuration the direct argmin over StudyRunner results
-    // produces.
+    // same configuration the direct argmin over the matrix path's
+    // results produces.
     for (const std::string bench : {"adpcm_d", "gsm_c"}) {
-        StudyRunner runner({profileByName(bench)}, kLen);
-        auto space = table2Space();
-        auto evals =
-            std::move(runner.evaluateAll(space, 1).at(0).evals);
+        auto evals = matrixSweep(bench, table2Space());
         std::size_t argmin = 0;
         for (std::size_t i = 1; i < evals.size(); ++i) {
             if (evals[i].model().edp < evals[argmin].model().edp)

@@ -66,22 +66,22 @@ main(int argc, char **argv)
     // sharded across the pool.  Groups of nthreads benchmarks bound
     // peak memory: each study pins its full trace (and captured L2
     // stream), and one point per benchmark gains nothing from keeping
-    // profiles cached beyond its group.
+    // profiles cached beyond its group, so each group gets a fresh
+    // engine.
     const auto &suite = mibenchSuite();
     const BackendSet backends = backendSet("model,sim");
     const std::size_t group_size = std::max(1u, nthreads);
+    ThreadPool pool(nthreads <= 1 ? 0 : nthreads);
     std::vector<StudyResult> results;
     for (std::size_t at = 0; at < suite.size(); at += group_size) {
         auto last =
             suite.begin() +
             static_cast<std::ptrdiff_t>(
                 std::min(suite.size(), at + group_size));
-        StudyRunner runner(
-            {suite.begin() + static_cast<std::ptrdiff_t>(at), last}, n,
-            backends);
-        if (!profile_dir.empty())
-            runner.useProfileDir(profile_dir);
-        auto group = runner.evaluateAll({point}, nthreads);
+        BatchEngine engine(n, profile_dir);
+        auto group = engine.evaluateMatrix(
+            {suite.begin() + static_cast<std::ptrdiff_t>(at), last},
+            {point}, pool, backends);
         results.insert(results.end(),
                        std::make_move_iterator(group.begin()),
                        std::make_move_iterator(group.end()));

@@ -285,8 +285,9 @@ void
 runDseScaling(Fixture &fx, const bench::MeasureOptions &opts,
               bench::BenchReport &report)
 {
-    StudyRunner runner({profileByName(kBenchName), profileByName("sha")},
-                       fx.instructions());
+    const std::vector<BenchmarkProfile> benches = {
+        profileByName(kBenchName), profileByName("sha")};
+    BatchEngine engine(fx.instructions());
     // Replicate the 192-point space so one sweep carries several
     // milliseconds of evaluation work: with the bare space a sweep
     // is ~100 us of microsecond-scale model evals and the timing
@@ -299,10 +300,10 @@ runDseScaling(Fixture &fx, const bench::MeasureOptions &opts,
         space.insert(space.end(), base_space.begin(), base_space.end());
     // Build the studies outside the timed region so every thread
     // count measures only the sharded evaluation phase.
-    auto warm = runner.evaluateAll(space, 1);
-    bench::doNotOptimize(warm.size());
+    ThreadPool serial(0);
+    bench::doNotOptimize(engine.evaluateMatrix(benches, space, serial).size());
     const double evals_per_run =
-        static_cast<double>(runner.benchmarkCount() * space.size());
+        static_cast<double>(benches.size() * space.size());
 
     // Power-of-two ladder up to the resolved --threads (default: the
     // hardware).  CI pins --threads 8 so the ladder matches the
@@ -315,9 +316,10 @@ runDseScaling(Fixture &fx, const bench::MeasureOptions &opts,
     double rate_one = 0.0;
     double rate_max = 0.0;
     for (unsigned threads : ladder) {
+        ThreadPool pool(threads <= 1 ? 0 : threads);
         auto m = bench::measure(
             [&] {
-                auto results = runner.evaluateAll(space, threads);
+                auto results = engine.evaluateMatrix(benches, space, pool);
                 bench::doNotOptimize(
                     results[0].evals[0].model().cycles);
             },
