@@ -70,12 +70,12 @@ fanOut(const std::vector<BatchEngine::Study *> &set, std::size_t npoints,
                     [](const EvalBackend *b) { return b->isDetailed(); });
     const std::size_t nbench = set.size();
     const std::size_t cells = npoints * nbench;
-    pool.parallelFor(cells, detailed ? 1 : pool.bulkChunk(cells),
-                     [&](std::size_t begin, std::size_t end) {
-                         PointEvaluation scratch;
-                         for (std::size_t c = begin; c < end; ++c)
-                             cell(c / nbench, c % nbench, scratch);
-                     });
+    const std::size_t chunk = detailed ? 1 : pool.bulkChunk(cells);
+    pool.parallelFor(cells, chunk, [&](std::size_t begin, std::size_t end) {
+        PointEvaluation scratch;
+        for (std::size_t c = begin; c < end; ++c)
+            cell(c / nbench, c % nbench, scratch);
+    });
 }
 
 } // namespace
@@ -89,8 +89,7 @@ void
 BatchEngine::useProfileDir(const std::string &dir)
 {
     std::lock_guard<std::mutex> lock(mtx);
-    MECH_ASSERT(byName.empty(),
-                "useProfileDir must precede the first study");
+    MECH_ASSERT(byName.empty(), "useProfileDir must precede the first study");
     profileDir = dir;
 }
 
@@ -116,14 +115,13 @@ BatchEngine::studies(const std::vector<BenchmarkProfile> &benches,
     // each.  parallelFor retires every task before it rethrows, so no
     // task outlives the locals it references.
     std::vector<std::unique_ptr<DseStudy>> built(missing.size());
-    pool.parallelFor(missing.size(), 1,
-                     [&](std::size_t begin, std::size_t end) {
-                         for (std::size_t m = begin; m < end; ++m) {
-                             built[m] = std::make_unique<DseStudy>(
-                                 DseStudy::loadOrProfile(
-                                     profileDir, *missing[m], traceLen));
-                         }
-                     });
+    pool.parallelFor(
+        missing.size(), 1, [&](std::size_t begin, std::size_t end) {
+            for (std::size_t m = begin; m < end; ++m) {
+                built[m] = std::make_unique<DseStudy>(DseStudy::loadOrProfile(
+                    profileDir, *missing[m], traceLen));
+            }
+        });
     for (std::size_t m = 0; m < missing.size(); ++m) {
         auto entry = std::make_unique<Study>();
         entry->study = std::move(built[m]);
@@ -146,14 +144,12 @@ BatchEngine::prepare(const std::vector<Study *> &set,
     // One task per study, since the geometries of one study are
     // memoized sequentially; the exclusive lock keeps preparation from
     // overlapping another batch's shared-lock fan-out of that study.
-    pool.parallelFor(set.size(), 1,
-                     [&](std::size_t begin, std::size_t end) {
-                         for (std::size_t s = begin; s < end; ++s) {
-                             std::unique_lock<std::shared_mutex> lock(
-                                 set[s]->rw);
-                             set[s]->study->prepare(points);
-                         }
-                     });
+    pool.parallelFor(set.size(), 1, [&](std::size_t begin, std::size_t end) {
+        for (std::size_t s = begin; s < end; ++s) {
+            std::unique_lock<std::shared_mutex> lock(set[s]->rw);
+            set[s]->study->prepare(points);
+        }
+    });
 }
 
 std::vector<StudyResult>
@@ -187,8 +183,8 @@ BatchEngine::evaluateMatrix(const std::vector<BenchmarkProfile> &benches,
     // Each cell evaluates straight into its preassigned output slot.
     fanOut(set, points.size(), backends, pool,
            [&](std::size_t i, std::size_t b, PointEvaluation &) {
-               set[b]->study->evaluateInto(results[b].evals[i],
-                                           points[i], backends);
+               set[b]->study->evaluateInto(results[b].evals[i], points[i],
+                                           backends);
            });
     return results;
 }
@@ -247,8 +243,7 @@ BatchEngine::evaluateCached(const std::vector<Study *> &set,
                    for (std::size_t be = 0; be < n_be; ++be) {
                        for (std::size_t k = 0; k < k_objs; ++k) {
                            eval.perBench[(b * n_be + be) * k_objs + k] =
-                               objectives[k].value(ev.results[be],
-                                                   eval.point);
+                               objectives[k].value(ev.results[be], eval.point);
                        }
                    }
                });

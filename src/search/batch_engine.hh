@@ -112,8 +112,7 @@ class BatchEngine
      *        instead of profiling (see useProfileDir); empty profiles
      *        every benchmark in-process.
      */
-    explicit BatchEngine(InstCount trace_len,
-                         std::string profile_dir = {});
+    explicit BatchEngine(InstCount trace_len, std::string profile_dir = {});
 
     BatchEngine(const BatchEngine &) = delete;
     BatchEngine &operator=(const BatchEngine &) = delete;
@@ -132,9 +131,8 @@ class BatchEngine
      * are keyed by benchmark name and reused by every later call.
      * Thread-safe.
      */
-    std::vector<Study *>
-    studies(const std::vector<BenchmarkProfile> &benches,
-            ThreadPool &pool);
+    std::vector<Study *> studies(const std::vector<BenchmarkProfile> &benches,
+                                 ThreadPool &pool);
 
     /**
      * Memoize the L2 geometries of @p points in every study of
@@ -156,8 +154,7 @@ class BatchEngine
      */
     std::vector<StudyResult>
     evaluateMatrix(const std::vector<BenchmarkProfile> &benches,
-                   const std::vector<DesignPoint> &points,
-                   ThreadPool &pool,
+                   const std::vector<DesignPoint> &points, ThreadPool &pool,
                    const BackendSet &backends = defaultBackends());
 
     /**
@@ -181,12 +178,10 @@ class BatchEngine
      * A batch where every point hits takes no study lock.
      */
     std::vector<const SearchEval *>
-    evaluateCached(const std::vector<Study *> &set,
-                   const BackendSet &backends,
+    evaluateCached(const std::vector<Study *> &set, const BackendSet &backends,
                    const std::vector<Objective> &objectives,
-                   const std::vector<DesignPoint> &points,
-                   EvalCache &cache, ThreadPool &pool,
-                   SearchStats &stats,
+                   const std::vector<DesignPoint> &points, EvalCache &cache,
+                   ThreadPool &pool, SearchStats &stats,
                    std::vector<bool> *was_hit = nullptr) const;
 
   private:

@@ -37,9 +37,8 @@ void
 SearchEvaluator::prepare(const SpaceSpec &spec, ThreadPool &pool)
 {
     studies = engine.studies(benches, pool);
-    if (std::string why =
-            admissionError(spec, spec.describe(), backends_,
-                           &studies[0]->study->profile());
+    if (std::string why = admissionError(spec, spec.describe(), backends_,
+                                         &studies[0]->study->profile());
         !why.empty()) {
         fatal(why);
     }
@@ -51,8 +50,7 @@ SearchEvaluator::evaluateBatch(const std::vector<DesignPoint> &points,
                                EvalCache &cache, ThreadPool &pool,
                                SearchStats &stats) const
 {
-    MECH_ASSERT(!studies.empty(),
-                "prepare() must run before evaluateBatch()");
+    MECH_ASSERT(!studies.empty(), "prepare() must run before evaluateBatch()");
     return engine.evaluateCached(studies, backends_, objs, points, cache,
                                  pool, stats);
 }

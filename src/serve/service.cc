@@ -325,9 +325,8 @@ EvalService::batchResponse(const ServeRequest &req, Group &group,
                 "); rank with one engine, then validate winners "
                 "with eval requests");
     }
-    if (std::string why =
-            admissionError(*spec, req.space, group.backends,
-                           &group.studies[0]->study->profile());
+    if (std::string why = admissionError(*spec, req.space, group.backends,
+                                         &group.studies[0]->study->profile());
         !why.empty()) {
         return errorResponse(req.idJson, why);
     }
