@@ -47,7 +47,8 @@ namespace {
  * The one fan-out: @p cell(i, b, scratch) for every (point i,
  * benchmark b) pair, point-major, across @p pool — so a lone point
  * still spreads its benchmarks over the pool.  Every study's lock is
- * held shared for the whole fan-out, in ascending seq order.
+ * held shared for the whole fan-out, once each (a set may name a
+ * benchmark twice), in ascending seq order.
  */
 template <typename Cell>
 void
@@ -57,6 +58,7 @@ fanOut(const std::vector<BatchEngine::Study *> &set, std::size_t npoints,
     std::vector<BatchEngine::Study *> locked = set;
     std::sort(locked.begin(), locked.end(),
               [](const auto *a, const auto *b) { return a->seq < b->seq; });
+    locked.erase(std::unique(locked.begin(), locked.end()), locked.end());
     std::vector<std::shared_lock<std::shared_mutex>> guards;
     guards.reserve(locked.size());
     for (BatchEngine::Study *s : locked)

@@ -296,6 +296,20 @@ TEST(BatchEngine, CachedPathMatchesTheMatrixPath)
     }
 }
 
+TEST(BatchEngine, MatrixPathAcceptsARepeatedBenchmark)
+{
+    // A benchmark named twice shares one study, whose lock the fan-out
+    // must take only once.
+    auto space = table2Space();
+    std::vector<DesignPoint> points(space.begin(), space.begin() + 4);
+    auto twice =
+        sweep({profileByName("sha"), profileByName("sha")}, points, 4);
+    auto once = sweep({profileByName("sha")}, points, 1);
+    ASSERT_EQ(twice.size(), 2u);
+    expectSameEvaluations(once, {twice[0]});
+    expectSameEvaluations(once, {twice[1]});
+}
+
 TEST(BatchEngine, AllHitBatchTakesNoStudyLock)
 {
     // The serve hot path: a batch answered entirely from the memo must
