@@ -386,6 +386,82 @@ TEST(ServeTcp, ShutdownRequestDrainsGracefully)
 }
 
 // ---------------------------------------------------------------------
+// Stdio / TCP parity
+// ---------------------------------------------------------------------
+
+/** A mixed session: data, garbage, blanks, control, final shutdown. */
+std::vector<std::string>
+mixedSession()
+{
+    SpaceSpec spec = SpaceSpec::table2();
+    std::vector<std::string> lines;
+    for (int i = 0; i < 6; ++i)
+        lines.push_back(evalLine(i, spec.at((i * 7) % spec.size())));
+    lines.push_back("{\"id\": 100, \"type\": \"batch\", "
+                    "\"space\": \"l2kb=128,256;width=1,4\"}");
+    lines.push_back("{\"id\": 101, \"type\": \"eval\", \"point\": ");
+    lines.push_back("");
+    lines.push_back("  \t");
+    std::string huge = "{\"id\": 102, \"pad\": \"";
+    huge.append(kMaxRequestBytes + 16, 'x');
+    huge += "\"}";
+    lines.push_back(huge);
+    lines.push_back("{\"id\": 103, \"type\": \"info\"}");
+    for (int i = 6; i < 12; ++i)
+        lines.push_back(evalLine(i, spec.at((i * 7) % spec.size())));
+    lines.push_back("{\"id\": 104, \"type\": \"stats\"}");
+    lines.push_back(evalLine(12, spec.at(0))); // a repeat: cached
+    lines.push_back("not json at all");
+    lines.push_back("{\"id\": 105, \"type\": \"batch\", "
+                    "\"space\": \"width=2,3\"}");
+    lines.push_back("");
+    lines.push_back("{\"id\": 106, \"type\": \"shutdown\"}");
+    return lines;
+}
+
+TEST(ServeParity, StdioAndTcpAnswerOneStreamByteIdentically)
+{
+    const std::vector<std::string> lines = mixedSession();
+    std::string text;
+    for (const std::string &l : lines)
+        text += l + "\n";
+
+    for (std::size_t max_batch : {std::size_t{1}, std::size_t{64}}) {
+        SessionOptions opts = ServerFixture::sessionOpts();
+        opts.maxBatch = max_batch;
+
+        EvalService stdio_service(testConfig());
+        std::istringstream in(text);
+        std::ostringstream out;
+        IstreamLineSource source(in);
+        ServerSession(stdio_service, source, out, opts).run();
+        std::vector<std::string> stdio;
+        std::istringstream split(out.str());
+        for (std::string l; std::getline(split, l);)
+            stdio.push_back(l);
+        ASSERT_EQ(stdio.size(), 21u) << "max_batch " << max_batch;
+
+        for (unsigned dispatchers : {1u, 4u}) {
+            std::ostringstream log;
+            EvalService service(testConfig());
+            TcpServerConfig tcp;
+            tcp.dispatchers = dispatchers;
+            TcpServer server(service, tcp, log, opts);
+            std::string error;
+            ASSERT_TRUE(server.start(&error)) << error;
+            LoopbackClient client;
+            std::vector<std::string> tcp_lines;
+            ASSERT_TRUE(client.connect(server.port(), &error)) << error;
+            ASSERT_TRUE(client.flood(lines, &tcp_lines, &error)) << error;
+            server.wait();
+            EXPECT_EQ(tcp_lines, stdio)
+                << "max_batch " << max_batch << ", " << dispatchers
+                << " dispatcher(s)";
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
 // Warm cache across a service restart
 // ---------------------------------------------------------------------
 
