@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the batch-evaluation engine.  The StudyRunner suite pins
+ * Tests for the batch-evaluation engine.  The BatchEngineMatrix suite pins
  * the matrix path (BatchEngine::evaluateMatrix, which runs the
  * studies): determinism across worker counts over the full 192-point
  * Table 2 space, agreement with the plain serial DseStudy loop,
@@ -91,7 +91,7 @@ expectSameEvaluations(const std::vector<StudyResult> &a,
     }
 }
 
-TEST(StudyRunner, ParallelMatchesSerialOverFullTable2Space)
+TEST(BatchEngineMatrix, ParallelMatchesSerialOverFullTable2Space)
 {
     auto space = table2Space();
     ASSERT_EQ(space.size(), 192u);
@@ -102,7 +102,7 @@ TEST(StudyRunner, ParallelMatchesSerialOverFullTable2Space)
     expectSameEvaluations(one, many);
 }
 
-TEST(StudyRunner, MatchesThePlainSerialStudyLoop)
+TEST(BatchEngineMatrix, MatchesThePlainSerialStudyLoop)
 {
     auto space = table2Space();
     const BenchmarkProfile &bench = profileByName("dijkstra");
@@ -124,7 +124,7 @@ TEST(StudyRunner, MatchesThePlainSerialStudyLoop)
     }
 }
 
-TEST(StudyRunner, ShardsMultipleBenchmarksDeterministically)
+TEST(BatchEngineMatrix, ShardsMultipleBenchmarksDeterministically)
 {
     // A small point list exercises the multi-benchmark sharding
     // without paying for the full space three times.
@@ -144,7 +144,7 @@ TEST(StudyRunner, ShardsMultipleBenchmarksDeterministically)
     expectSameEvaluations(one, many);
 }
 
-TEST(StudyRunner, BitIdenticalAcrossTheThreadLadderOnOneRunner)
+TEST(BatchEngineMatrix, BitIdenticalAcrossTheThreadLadderOnOneRunner)
 {
     // The dse_scaling benchmark's shape: ONE engine swept repeatedly
     // through pools of 1, 2 and 8 workers, so every ladder step reuses
@@ -165,7 +165,7 @@ TEST(StudyRunner, BitIdenticalAcrossTheThreadLadderOnOneRunner)
     }
 }
 
-TEST(StudyRunner, ReusesProfilesAcrossCalls)
+TEST(BatchEngineMatrix, ReusesProfilesAcrossCalls)
 {
     auto space = table2Space();
     std::vector<DesignPoint> points(space.begin(), space.begin() + 8);
@@ -184,7 +184,7 @@ TEST(StudyRunner, ReusesProfilesAcrossCalls)
     EXPECT_EQ(engine.studies(benches, serial), built);
 }
 
-TEST(StudyRunner, SimulationResultsAreDeterministicToo)
+TEST(BatchEngineMatrix, SimulationResultsAreDeterministicToo)
 {
     // Detailed simulation replays the shared trace; a handful of
     // points keeps runtime modest while covering the sim path.
@@ -206,7 +206,7 @@ TEST(StudyRunner, SimulationResultsAreDeterministicToo)
     expectSameEvaluations(one, many);
 }
 
-TEST(StudyRunner, RegistrySelectedBackendSetIsDeterministic)
+TEST(BatchEngineMatrix, RegistrySelectedBackendSetIsDeterministic)
 {
     // Any registry-selected combination must shard deterministically:
     // here both mechanistic models ("model,ooo") over a slice of the
