@@ -2,13 +2,15 @@
  * @file
  * Walkthrough of the mech_serve protocol, fully in-process.
  *
- * Drives the exact ServerSession the mech_serve tool runs — the
- * stdio and TCP front ends only differ in where the bytes come
- * from — through a scripted conversation: point evaluations (cache
- * cold, then warm), a multi-backend comparison, a whole-space batch
- * request with its Pareto frontier, a deliberately malformed line,
- * and the final drain.  Each request line prints before its
- * response line, so the output reads as a protocol transcript.
+ * Drives the ServerSession the mech_serve tool runs on stdio.  The
+ * TCP front end answers its connections through the same request
+ * pipeline (answerLines() in serve/session.hh); the two only differ
+ * in where the bytes come from.  The scripted conversation covers
+ * point evaluations (cache cold, then warm), a multi-backend
+ * comparison, a whole-space batch request with its Pareto frontier,
+ * a deliberately malformed line, and the final drain.  Each request
+ * line prints before its response line, so the output reads as a
+ * protocol transcript.
  *
  * Against a live server the same lines work verbatim:
  *

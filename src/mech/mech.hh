@@ -68,9 +68,7 @@
 #include "search/report.hh"
 #include "search/space_spec.hh"
 #include "search/strategy.hh"
-#include "serve/admission.hh"
 #include "serve/protocol.hh"
-#include "serve/request_queue.hh"
 #include "serve/server.hh"
 #include "serve/service.hh"
 #include "serve/session.hh"

@@ -1,6 +1,7 @@
 #include "serve/admission.hh"
 
 #include <algorithm>
+#include <chrono>
 #include <utility>
 
 #include "obs/registry.hh"

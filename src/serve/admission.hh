@@ -33,14 +33,14 @@
 #ifndef MECH_SERVE_ADMISSION_HH
 #define MECH_SERVE_ADMISSION_HH
 
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <map>
 #include <mutex>
-#include <string>
 #include <vector>
+
+#include "serve/session.hh"
 
 namespace mech::serve {
 
@@ -55,13 +55,6 @@ struct AdmissionConfig
 
     /** Most lines handed to a dispatcher per batch. */
     std::size_t maxBatch = 64;
-};
-
-/** One queued request line with its arrival time (for latency_us). */
-struct QueuedLine
-{
-    std::string line;
-    std::chrono::steady_clock::time_point received;
 };
 
 /** The bounded, session-fair line queue (see file comment). */

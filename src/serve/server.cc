@@ -21,7 +21,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include "common/json.hh"
 #include "common/logging.hh"
 #include "obs/registry.hh"
 #include "obs/trace.hh"
@@ -54,40 +53,6 @@ installSignalHandlers()
     // A client vanishing mid-response must be a write error, not a
     // process kill.
     std::signal(SIGPIPE, SIG_IGN);
-}
-
-double
-microsSince(std::chrono::steady_clock::time_point start)
-{
-    return std::chrono::duration<double, std::micro>(
-               std::chrono::steady_clock::now() - start)
-        .count();
-}
-
-bool
-isBlank(const std::string &line)
-{
-    for (char c : line) {
-        if (c != ' ' && c != '\t' && c != '\r')
-            return false;
-    }
-    return true;
-}
-
-/** One response line, formatted exactly as ResponseWriter writes it. */
-std::string
-responseLine(const std::string &body, bool latency_fields,
-             double latency_us)
-{
-    if (!latency_fields)
-        return body + "\n";
-    std::ostringstream os;
-    os.write(body.data(),
-             static_cast<std::streamsize>(body.size() - 1));
-    os << ", \"latency_us\": ";
-    json::writeNumber(os, latency_us);
-    os << "}\n";
-    return os.str();
 }
 
 /** epoll tags below this are the listener / wake eventfd. */
@@ -152,6 +117,7 @@ struct TcpServer::Impl
         std::size_t busy = 0; ///< admitted lines not yet answered
         std::uint64_t responses = 0;
         std::uint64_t errors = 0;
+        bool ended = false; ///< answered its own shutdown
     };
 
     EvalService &service;
@@ -200,8 +166,8 @@ struct TcpServer::Impl
     void dispatchLoop();
     void processBatch(const AdmissionQueue::Batch &batch);
     void deliver(std::uint64_t sid, std::string bytes,
-                 std::size_t consumed, std::uint64_t responses,
-                 std::uint64_t errors);
+                 std::size_t consumed, const ResponseWriter &writer,
+                 bool ended);
     void wake();
 
     void acceptClients();
@@ -594,10 +560,12 @@ TcpServer::Impl::shedLine(Conn &conn, QueuedLine line)
                "(session "
             << conn.sid << ")";
     }
+    std::ostringstream os;
+    writeResponseLine(os, body, opts.latencyFields,
+                      microsSince(line.received));
     std::lock_guard<std::mutex> lock(connMtx);
     --conn.busy;
-    conn.outbuf += responseLine(body, opts.latencyFields,
-                                microsSince(line.received));
+    conn.outbuf += os.str();
     ++conn.responses;
     ++conn.errors;
     flushConn(conn);
@@ -610,7 +578,7 @@ TcpServer::Impl::ingestLine(Conn &conn)
     conn.line.clear();
     const bool truncated = conn.truncating;
     conn.truncating = false;
-    if (!truncated && isBlank(line))
+    if (!truncated && isBlankLine(line))
         return;
     ++conn.linesRead;
     QueuedLine queued{std::move(line),
@@ -890,7 +858,7 @@ TcpServer::Impl::ioLoop()
 void
 TcpServer::Impl::deliver(std::uint64_t sid, std::string bytes,
                          std::size_t consumed,
-                         std::uint64_t responses, std::uint64_t errors)
+                         const ResponseWriter &writer, bool ended)
 {
     obs::TraceSpan span("request.flush", "serve");
     std::size_t settled = 0;
@@ -903,8 +871,10 @@ TcpServer::Impl::deliver(std::uint64_t sid, std::string bytes,
         conn.outbuf += bytes;
         settled = std::min(conn.busy, consumed);
         conn.busy -= settled;
-        conn.responses += responses;
-        conn.errors += errors;
+        conn.responses += writer.written();
+        conn.errors += writer.errorsWritten();
+        if (ended)
+            conn.ended = true;
         writeReady.push_back(sid);
     }
     if (settled > 0)
@@ -916,9 +886,6 @@ TcpServer::Impl::deliver(std::uint64_t sid, std::string bytes,
 void
 TcpServer::Impl::processBatch(const AdmissionQueue::Batch &batch)
 {
-    // The dispatcher-side mirror of ServerSession::run(): parse,
-    // coalesce data requests, answer control requests on drained
-    // state, and emit one response line per request in order.
     if (obs::TraceRecorder *rec = obs::TraceRecorder::current();
         rec && !batch.lines.empty()) {
         // Retrospective span: the time this batch's oldest line spent
@@ -931,76 +898,24 @@ TcpServer::Impl::processBatch(const AdmissionQueue::Batch &batch)
     }
     obs::TraceSpan dispatchSpan("request.dispatch", "serve");
 
+    // A session says nothing after its own shutdown: lines it queued
+    // behind it are dropped here, and deliver() still settles them.
+    // At most one batch per session is in flight, so the previous
+    // batch's deliver() has already recorded the shutdown.
+    bool ended;
+    {
+        std::lock_guard<std::mutex> lock(connMtx);
+        auto it = conns.find(batch.sid);
+        ended = it != conns.end() && it->second->ended;
+    }
     std::ostringstream out;
     ResponseWriter writer(out, opts.latencyFields);
-    std::vector<PendingLine> pendingBatch;
+    const bool shutdown =
+        !ended && answerLines(service, batch.lines, writer);
 
-    auto flushPending = [&] {
-        if (pendingBatch.empty())
-            return;
-        std::vector<ServeRequest> requests;
-        requests.reserve(pendingBatch.size());
-        for (const PendingLine &line : pendingBatch) {
-            if (line.ok())
-                requests.push_back(line.request);
-        }
-        std::vector<std::string> bodies =
-            service.handleFlush(requests);
-        obs::TraceSpan serializeSpan("request.serialize", "serve");
-        std::size_t next = 0;
-        for (const PendingLine &line : pendingBatch) {
-            const std::string body =
-                line.ok() ? bodies[next++]
-                          : errorResponse(line.idJson, line.error);
-            writer.write(body, microsSince(line.received));
-        }
-        pendingBatch.clear();
-    };
-
-    bool sawShutdown = false;
-    for (const QueuedLine &queued : batch.lines) {
-        PendingLine pending;
-        pending.received = queued.received;
-        if (queued.line.size() > kMaxRequestBytes) {
-            pending.error = "request line exceeds " +
-                            std::to_string(kMaxRequestBytes) +
-                            " bytes";
-        } else {
-            ParseOutcome outcome = [&] {
-                obs::TraceSpan parseSpan("request.parse", "serve");
-                return parseRequest(queued.line);
-            }();
-            pending.idJson = outcome.idJson;
-            if (!outcome.ok()) {
-                pending.error = outcome.error;
-            } else if (outcome.request->type == RequestType::Info ||
-                       outcome.request->type == RequestType::Stats ||
-                       outcome.request->type ==
-                           RequestType::Shutdown) {
-                flushPending();
-                const ServeRequest &req = *outcome.request;
-                std::string body =
-                    req.type == RequestType::Info
-                        ? service.infoResponse(req.idJson)
-                        : service.statsResponse(req.idJson, req.type,
-                                                opts.latencyFields);
-                writer.write(body, microsSince(pending.received));
-                if (req.type == RequestType::Shutdown) {
-                    sawShutdown = true;
-                    break;
-                }
-                continue;
-            } else {
-                pending.request = *outcome.request;
-            }
-        }
-        pendingBatch.push_back(std::move(pending));
-    }
-    flushPending();
-
-    deliver(batch.sid, out.str(), batch.lines.size(),
-            writer.written(), writer.errorsWritten());
-    if (sawShutdown) {
+    deliver(batch.sid, out.str(), batch.lines.size(), writer,
+            shutdown);
+    if (shutdown) {
         shutdownSeen.store(true);
         drainAsked.store(true);
         wake();

@@ -1,7 +1,9 @@
 /**
  * @file
- * mech_serve front ends: the stdio loop and a concurrent epoll TCP
- * server (no event-loop library, no new dependencies).
+ * mech_serve front ends: the stdio reader and a concurrent epoll TCP
+ * server (no event-loop library, no new dependencies).  Both are
+ * readers in front of one request pipeline, answerLines()
+ * (session.hh): only where the lines come from differs.
  *
  * Stdio mode serves one session over stdin/stdout — the mode CI
  * smokes and scripts pipe request files through.
@@ -11,7 +13,7 @@
  * every connection (nonblocking reads into per-connection line
  * buffers, buffered writes with EPOLLOUT backpressure), and a small
  * dispatcher pool pulls admitted line batches from an AdmissionQueue
- * and answers them through the shared EvalService.  At most one batch
+ * and answers each through answerLines().  At most one batch
  * per session is in flight at a time, so each session's responses
  * stay in its own request order and the per-session byte-identity
  * contract holds at any thread or dispatcher count.  Requests beyond
@@ -22,7 +24,8 @@
  * Graceful drain: a client "shutdown" request answers its final "bye"
  * accounting line, then the server stops accepting, the dispatchers
  * finish every admitted request, write buffers flush, and the process
- * exits.  SIGINT/SIGTERM take the same path, so an operator's Ctrl-C
+ * exits.  As on stdio, the lines a session sent after its own
+ * shutdown are never answered.  SIGINT/SIGTERM take the same path, so an operator's Ctrl-C
  * never kills a request mid-evaluation.
  */
 

@@ -1,7 +1,9 @@
 #include "serve/session.hh"
 
+#include <algorithm>
 #include <istream>
 #include <ostream>
+#include <utility>
 
 #include "common/json.hh"
 #include "common/logging.hh"
@@ -38,6 +40,39 @@ IstreamLineSource::moreBuffered()
     return is.good() && is.rdbuf()->in_avail() > 0;
 }
 
+bool
+isBlankLine(const std::string &line)
+{
+    for (char c : line) {
+        if (c != ' ' && c != '\t' && c != '\r')
+            return false;
+    }
+    return true;
+}
+
+double
+microsSince(std::chrono::steady_clock::time_point start)
+{
+    return std::chrono::duration<double, std::micro>(
+               std::chrono::steady_clock::now() - start)
+        .count();
+}
+
+void
+writeResponseLine(std::ostream &os, const std::string &body,
+                  bool latency_fields, double latency_us)
+{
+    if (!latency_fields) {
+        os << body << '\n';
+        return;
+    }
+    os.write(body.data(),
+             static_cast<std::streamsize>(body.size() - 1));
+    os << ", \"latency_us\": ";
+    json::writeNumber(os, latency_us);
+    os << "}\n";
+}
+
 void
 ResponseWriter::write(const std::string &body, double latency_us)
 {
@@ -51,15 +86,7 @@ ResponseWriter::write(const std::string &body, double latency_us)
         body.find("\"error\": ") != std::string::npos) {
         ++errorCount;
     }
-    if (!latencyFields) {
-        os << body << '\n';
-        return;
-    }
-    os.write(body.data(),
-             static_cast<std::streamsize>(body.size() - 1));
-    os << ", \"latency_us\": ";
-    json::writeNumber(os, latency_us);
-    os << "}\n";
+    writeResponseLine(os, body, latencyFields, latency_us);
 }
 
 void
@@ -68,113 +95,100 @@ ResponseWriter::flush()
     os.flush();
 }
 
+bool
+answerLines(EvalService &service, const std::vector<QueuedLine> &lines,
+            ResponseWriter &writer)
+{
+    // The data lines since the last control request, each with its
+    // parse outcome.  The service answers the parsed ones as one
+    // coalesced flush; a bad line keeps its slot for its error, so
+    // response N always answers line N.
+    std::vector<std::pair<const QueuedLine *, ParseOutcome>> pending;
+    auto flushPending = [&] {
+        if (pending.empty())
+            return;
+        obs::TraceSpan span("session.flush", "serve");
+        std::vector<ServeRequest> requests;
+        requests.reserve(pending.size());
+        for (auto &[line, outcome] : pending) {
+            // Moving the request out leaves the optional engaged, so
+            // ok() still tells the two kinds of slot apart below.
+            if (outcome.ok())
+                requests.push_back(std::move(*outcome.request));
+        }
+        const std::vector<std::string> bodies =
+            service.handleFlush(requests);
+        obs::TraceSpan serializeSpan("request.serialize", "serve");
+        std::size_t next = 0;
+        for (const auto &[line, outcome] : pending) {
+            writer.write(outcome.ok()
+                             ? bodies[next++]
+                             : errorResponse(outcome.idJson,
+                                             outcome.error),
+                         microsSince(line->received));
+        }
+        pending.clear();
+    };
+
+    for (const QueuedLine &line : lines) {
+        ParseOutcome outcome;
+        if (line.line.size() > kMaxRequestBytes) {
+            outcome.error = "request line exceeds " +
+                            std::to_string(kMaxRequestBytes) + " bytes";
+        } else {
+            obs::TraceSpan parseSpan("request.parse", "serve");
+            outcome = parseRequest(line.line);
+        }
+        const std::optional<ServeRequest> &req = outcome.request;
+        if (!req || req->type == RequestType::Eval ||
+            req->type == RequestType::Batch) {
+            pending.emplace_back(&line, std::move(outcome));
+            continue;
+        }
+        // Control requests act on drained state: answer everything
+        // before them first.
+        flushPending();
+        writer.write(req->type == RequestType::Info
+                         ? service.infoResponse(req->idJson)
+                         : service.statsResponse(req->idJson, req->type,
+                                                 writer.timing()),
+                     microsSince(line.received));
+        if (req->type == RequestType::Shutdown)
+            return true;
+    }
+    flushPending();
+    return false;
+}
+
 ServerSession::ServerSession(EvalService &service, LineSource &source,
                              std::ostream &out, SessionOptions opts)
     : service(service), source(source),
-      writer(out, opts.latencyFields), queue(opts.maxBatch), opts(opts)
+      writer(out, opts.latencyFields), opts(opts)
 {
-}
-
-namespace {
-
-double
-microsSince(std::chrono::steady_clock::time_point start)
-{
-    return std::chrono::duration<double, std::micro>(
-               std::chrono::steady_clock::now() - start)
-        .count();
-}
-
-bool
-isBlank(const std::string &line)
-{
-    for (char c : line) {
-        if (c != ' ' && c != '\t' && c != '\r')
-            return false;
-    }
-    return true;
-}
-
-} // namespace
-
-void
-ServerSession::flushQueue()
-{
-    if (queue.empty())
-        return;
-    obs::TraceSpan span("session.flush", "serve");
-    std::vector<PendingLine> lines = queue.take();
-
-    // The service answers the well-formed requests as one coalesced
-    // batch; garbage lines keep their slot so response N always
-    // answers line N.
-    std::vector<ServeRequest> requests;
-    requests.reserve(lines.size());
-    for (const PendingLine &line : lines) {
-        if (line.ok())
-            requests.push_back(line.request);
-    }
-    std::vector<std::string> bodies = service.handleFlush(requests);
-
-    std::size_t next = 0;
-    for (const PendingLine &line : lines) {
-        const std::string body =
-            line.ok() ? bodies[next++]
-                      : errorResponse(line.idJson, line.error);
-        writer.write(body, microsSince(line.received));
-    }
-    writer.flush();
 }
 
 SessionStats
 ServerSession::run()
 {
+    const std::size_t cap = std::max<std::size_t>(opts.maxBatch, 1);
+    std::vector<QueuedLine> batch;
+    auto answer = [&] {
+        stats.shutdownRequested = answerLines(service, batch, writer);
+        writer.flush();
+        batch.clear();
+    };
     std::string line;
-    while (source.nextLine(line)) {
-        if (isBlank(line))
+    while (!stats.shutdownRequested && source.nextLine(line)) {
+        if (isBlankLine(line))
             continue;
         ++stats.lines;
-
-        PendingLine pending;
-        pending.received = std::chrono::steady_clock::now();
-        if (line.size() > kMaxRequestBytes) {
-            pending.error =
-                "request line exceeds " +
-                std::to_string(kMaxRequestBytes) + " bytes";
-        } else {
-            ParseOutcome outcome = parseRequest(line);
-            pending.idJson = outcome.idJson;
-            if (!outcome.ok()) {
-                pending.error = outcome.error;
-            } else if (outcome.request->type == RequestType::Info ||
-                       outcome.request->type == RequestType::Stats ||
-                       outcome.request->type ==
-                           RequestType::Shutdown) {
-                // Control requests act on drained state: answer
-                // everything already queued first.
-                flushQueue();
-                const ServeRequest &req = *outcome.request;
-                std::string body =
-                    req.type == RequestType::Info
-                        ? service.infoResponse(req.idJson)
-                        : service.statsResponse(req.idJson, req.type,
-                                                opts.latencyFields);
-                writer.write(body, microsSince(pending.received));
-                writer.flush();
-                if (req.type == RequestType::Shutdown) {
-                    stats.shutdownRequested = true;
-                    break;
-                }
-                continue;
-            } else {
-                pending.request = *outcome.request;
-            }
-        }
-        queue.push(pending);
-        if (queue.full() || !source.moreBuffered())
-            flushQueue();
+        batch.push_back(
+            {std::move(line), std::chrono::steady_clock::now()});
+        if (batch.size() >= cap || !source.moreBuffered())
+            answer();
     }
-    flushQueue();
+    if (!batch.empty())
+        answer();
     stats.responses = writer.written();
     stats.errors = writer.errorsWritten();
     return stats;

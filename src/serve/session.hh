@@ -1,35 +1,51 @@
 /**
  * @file
- * One client's conversation with the service: the pipelined
- * read-coalesce-evaluate-respond loop shared by the stdio and TCP
- * front ends.
+ * One client's conversation with the service: the request pipeline
+ * both front ends run, and the stdio reader.
  *
- * A ServerSession reads newline-delimited requests from a
- * LineSource, batches them through a RequestQueue, answers through
- * the shared EvalService, and streams responses (one line per
- * request, in request order) through a ResponseWriter that appends
- * per-response latency and keeps traffic accounting.
+ * answerLines() is the pipeline.  It takes a session's request lines
+ * in arrival order and writes one response line per request line
+ * through a ResponseWriter: parse, coalesce the data requests into
+ * one EvalService flush, answer control requests on drained state,
+ * keep a bad line's error in its own slot, and stop at shutdown.
+ * There are two readers.  ServerSession reads stdio (or any
+ * LineSource) as one session; the TCP server's dispatchers feed it
+ * the batches its admission queue hands out, one session at a time.
  *
- * Coalescing policy: keep reading while more input is immediately
- * available and the batch cap is not reached; flush when the source
- * would block (an interactive client gets its answer right away), at
- * the cap, on a control request, and at EOF.  Because the service's
- * accounting is flush-boundary independent, this is purely a
- * throughput knob — the response stream is byte-identical however
- * the input was paced or chunked.
+ * Coalescing policy (stdio): keep reading while more input is
+ * immediately available and the batch cap is not reached, then
+ * answer what was read.  An interactive client gets its answer right
+ * away; a piped file coalesces.  Because the service's accounting is
+ * flush-boundary independent, this is purely a throughput knob — the
+ * response stream is byte-identical however the input was paced or
+ * chunked, and whichever front end read it.
  */
 
 #ifndef MECH_SERVE_SESSION_HH
 #define MECH_SERVE_SESSION_HH
 
+#include <chrono>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <vector>
 
-#include "serve/request_queue.hh"
 #include "serve/service.hh"
 
 namespace mech::serve {
+
+/** One request line with its arrival time (for latency_us). */
+struct QueuedLine
+{
+    std::string line;
+    std::chrono::steady_clock::time_point received;
+};
+
+/** True for a line of only spaces, tabs and CRs (never answered). */
+bool isBlankLine(const std::string &line);
+
+/** Microseconds from @p start to now. */
+double microsSince(std::chrono::steady_clock::time_point start);
 
 /** A source of request lines (stdin, a socket, a test string). */
 class LineSource
@@ -106,6 +122,9 @@ class ResponseWriter
     /** Flush the underlying stream (once per batch). */
     void flush();
 
+    /** True when responses carry latency_us (timing mode). */
+    bool timing() const { return latencyFields; }
+
     std::uint64_t written() const { return count; }
     std::uint64_t errorsWritten() const { return errorCount; }
 
@@ -116,7 +135,24 @@ class ResponseWriter
     std::uint64_t errorCount = 0;
 };
 
-/** The pipelined request/response loop for one client. */
+/**
+ * Format one response line for @p body onto @p os: the body, with
+ * `"latency_us"` appended when @p latency_fields is set, then '\n'.
+ * ResponseWriter::write() and the TCP server's shed path share it.
+ */
+void writeResponseLine(std::ostream &os, const std::string &body,
+                       bool latency_fields, double latency_us);
+
+/**
+ * Answer one session's @p lines, in order, through @p writer: one
+ * response line per request line (see file comment).  Returns true
+ * when it answered a shutdown; the lines after it are not answered.
+ */
+bool answerLines(EvalService &service,
+                 const std::vector<QueuedLine> &lines,
+                 ResponseWriter &writer);
+
+/** The stdio reader: one client's lines, answered by answerLines(). */
 class ServerSession
 {
   public:
@@ -130,12 +166,9 @@ class ServerSession
     SessionStats run();
 
   private:
-    void flushQueue();
-
     EvalService &service;
     LineSource &source;
     ResponseWriter writer;
-    RequestQueue queue;
     SessionOptions opts;
     SessionStats stats;
 };

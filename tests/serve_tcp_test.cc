@@ -2,9 +2,10 @@
  * @file
  * Tests for the concurrent serve front end: AdmissionQueue bounds and
  * fairness, the in-process epoll TcpServer (pipelining, dispatcher
- * byte-identity, overload shedding, graceful drain), the warm-cache
- * restart path, and frontierResponse equivalence between the
- * in-process batch path and a mech_shard-style scatter-gather.
+ * byte-identity, overload shedding, graceful drain), byte-identity
+ * with the stdio session, the warm-cache restart path, and
+ * frontierResponse equivalence between the in-process batch path and
+ * a mech_shard-style scatter-gather.
  */
 
 #include <gtest/gtest.h>
@@ -29,6 +30,7 @@
 #include "search/space_spec.hh"
 #include "serve/admission.hh"
 #include "serve/protocol.hh"
+#include "serve/serve_obs.hh"
 #include "serve/server.hh"
 #include "serve/service.hh"
 #include "serve/shard.hh"
@@ -383,6 +385,41 @@ TEST(ServeTcp, ShutdownRequestDrainsGracefully)
 
     server.wait(); // the shutdown request alone must end the server
     EXPECT_TRUE(server.drainedByShutdown());
+}
+
+TEST(ServeTcp, LinesAfterShutdownAreNeverAnswered)
+{
+    // One client write: shutdown, then four evals behind it.  Whatever
+    // admission batch the shutdown lands in, only the bye is answered.
+    SpaceSpec spec = SpaceSpec::table2();
+    std::vector<std::string> lines = {"{\"id\": 0, \"type\": \"shutdown\"}"};
+    for (int i = 1; i <= 4; ++i)
+        lines.push_back(evalLine(i, spec.at(i)));
+
+    for (std::size_t max_batch : {std::size_t{1}, std::size_t{64}}) {
+        const std::int64_t inflight0 = ServeObs::get().inflight.value();
+        std::ostringstream log;
+        EvalService service(testConfig());
+        SessionOptions opts = ServerFixture::sessionOpts();
+        opts.maxBatch = max_batch;
+        TcpServer server(service, {}, log, opts);
+        std::string error;
+        ASSERT_TRUE(server.start(&error)) << error;
+        LoopbackClient client;
+        std::vector<std::string> responses;
+        ASSERT_TRUE(client.connect(server.port(), &error)) << error;
+        ASSERT_TRUE(client.flood(lines, &responses, &error)) << error;
+        // The drain only completes once every admitted line, answered
+        // or dropped, has been settled.
+        server.wait();
+
+        ASSERT_EQ(responses.size(), 1u) << "max_batch " << max_batch;
+        EXPECT_NE(responses[0].find("\"type\": \"bye\""),
+                  std::string::npos);
+        EXPECT_EQ(service.stats().requested, 0u)
+            << "a line after the shutdown was evaluated";
+        EXPECT_EQ(ServeObs::get().inflight.value(), inflight0);
+    }
 }
 
 // ---------------------------------------------------------------------

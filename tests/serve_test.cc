@@ -5,20 +5,22 @@
  * accounting, thread-count byte-identity, batch frontiers against
  * the search engine, and graceful drain.
  *
- * Sessions run fully in-process over stringstreams: the same
- * ServerSession the stdio and TCP front ends drive, minus the fds.
+ * Sessions run fully in-process over stringstreams: the stdio
+ * ServerSession, minus the fds, in front of the request pipeline the
+ * TCP front end shares (tests/serve_tcp_test.cc checks the two agree).
  */
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
 #include <vector>
 
 #include "common/json.hh"
 #include "dse/study.hh"
 #include "eval/registry.hh"
+#include "obs/trace.hh"
 #include "serve/protocol.hh"
-#include "serve/request_queue.hh"
 #include "serve/server.hh"
 #include "serve/service.hh"
 #include "serve/session.hh"
@@ -173,27 +175,6 @@ TEST(ServeProtocol, IdEchoSurvivesParseFailures)
     EXPECT_EQ(errorResponse(outcome.idJson, "boom"),
               "{\"schema_version\": 1, \"id\": 42, "
               "\"type\": \"error\", \"error\": \"boom\"}");
-}
-
-// ---- request queue --------------------------------------------------------
-
-TEST(ServeQueue, OrdersAndCaps)
-{
-    RequestQueue queue(2);
-    EXPECT_TRUE(queue.empty());
-    PendingLine a;
-    a.error = "first";
-    PendingLine b;
-    b.error = "second";
-    queue.push(a);
-    EXPECT_FALSE(queue.full());
-    queue.push(b);
-    EXPECT_TRUE(queue.full());
-    auto drained = queue.take();
-    ASSERT_EQ(drained.size(), 2u);
-    EXPECT_EQ(drained[0].error, "first");
-    EXPECT_EQ(drained[1].error, "second");
-    EXPECT_TRUE(queue.empty());
 }
 
 // ---- sessions end to end --------------------------------------------------
@@ -475,6 +456,38 @@ TEST(ServeSession, ShutdownDrainsAndStops)
     json::Value bye = parsedResponse(lines[1]);
     EXPECT_EQ(typeOf(bye), "bye");
     EXPECT_EQ(bye.get("requests")->get("eval")->number, 1.0);
+}
+
+TEST(ServeSession, MaxBatchCapsEachFlush)
+{
+    EvalService service(testConfig());
+    SpaceSpec spec = SpaceSpec::table2();
+    std::string requests;
+    for (int i = 0; i < 5; ++i) {
+        requests += "{\"id\": " + std::to_string(i) +
+                    ", \"type\": \"eval\", \"point\": \"" +
+                    spec.at(i).toKey() + "\"}\n";
+    }
+    SessionOptions opts;
+    opts.maxBatch = 2;
+
+    auto recorder = std::make_unique<obs::TraceRecorder>();
+    obs::TraceRecorder::install(recorder.get());
+    const std::vector<std::string> lines =
+        serveLines(requests, service, opts);
+    obs::TraceRecorder::install(nullptr);
+    ASSERT_EQ(lines.size(), 5u);
+
+    // Five buffered lines at a cap of two: flushes of 2, 2 and 1.
+    std::ostringstream os;
+    recorder->writeJson(os);
+    std::string error;
+    const auto doc = json::parse(os.str(), &error);
+    ASSERT_TRUE(doc) << error;
+    int flushes = 0;
+    for (const json::Value &ev : doc->get("traceEvents")->array)
+        flushes += ev.get("name")->string == "session.flush";
+    EXPECT_EQ(flushes, 3);
 }
 
 TEST(ServeSession, LatencyFieldsAppendWhenEnabled)
