@@ -1,5 +1,6 @@
 #include "common/file_util.hh"
 
+#include <atomic>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -93,11 +94,23 @@ atomicWriteFile(const std::string &path, std::string_view bytes,
                 std::string *error)
 {
     // Stage in the target's directory so the final rename(2) cannot
-    // cross file systems (a cross-device rename is not atomic).
-    std::string tmp = path + ".tmp.XXXXXX";
-    int fd = ::mkstemp(tmp.data());
+    // cross file systems (a cross-device rename is not atomic).  The
+    // name is unique per process and call; O_EXCL skips a leftover
+    // of a crashed process that had the same pid.  Unlike mkstemp(3),
+    // open(2) applies the umask instead of forcing mode 0600.
+    static std::atomic<unsigned> serial{0};
+    std::string tmp;
+    int fd = -1;
+    for (int attempt = 0; fd < 0 && attempt < 16; ++attempt) {
+        tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
+              std::to_string(serial++);
+        fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC,
+                    0666);
+        if (fd < 0 && errno != EEXIST)
+            break;
+    }
     if (fd < 0) {
-        setError(error, "mkstemp '" + tmp + "'");
+        setError(error, "create '" + tmp + "'");
         return false;
     }
 

@@ -2,18 +2,21 @@
  * @file
  * Small file-system utilities for persistent artifacts.
  *
- * Two needs drove this header: the serve layer's warm-cache spills
- * (search/cache_io.hh) must be read without copying — a restarted
- * server maps each spill once and decodes straight out of the page
- * cache — and they must be written atomically, so a crash or signal
- * mid-write can never leave a half-spill a later start would try to
- * load.  MappedFile wraps mmap(2) behind a movable RAII view;
- * atomicWriteFile() stages into a same-directory temp file and
- * rename(2)s it into place.
+ * Every persistent artifact goes through this header — `.mprof` profiles
+ * (profiler/profile_io.hh), `.mcache` warm-cache spills
+ * (search/cache_io.hh) and `.mdesc` machine descriptions
+ * (characterize/mdesc.hh) — so they share two guarantees.  Reads do
+ * not copy: MappedFile wraps mmap(2) behind a movable RAII view and a
+ * decoder works straight out of the page cache.  Writes are atomic:
+ * atomicWriteFile() stages into a same-directory temp file, fsyncs it
+ * and rename(2)s it into place, so a crash, a signal or a concurrent
+ * reader can never observe a half-written artifact, and a reader that
+ * already holds a mapping of the old file keeps seeing the old bytes.
  *
  * Everything reports failure through a bool + message out-param
- * rather than exceptions: callers treat a missing or unreadable file
- * as an ordinary cold start, not an error path.
+ * rather than exceptions, so each caller keeps its own contract: the
+ * serve layer treats a missing or unreadable spill as an ordinary
+ * cold start, while `.mprof` and `.mdesc` raise their format's error.
  */
 
 #ifndef MECH_COMMON_FILE_UTIL_HH
@@ -66,10 +69,11 @@ class MappedFile
 
 /**
  * Write @p bytes to @p path atomically: stage into a unique temp file
- * in the same directory, fsync it, then rename(2) over the target.
- * Readers see either the old file or the complete new one, never a
- * prefix.  Returns false with a message on any failure (the temp
- * file is removed).
+ * (`<path>.tmp.<pid>.<n>`) in the same directory, fsync it, then
+ * rename(2) over the target.  Readers see either the old file or the
+ * complete new one, never a prefix.  The file is created with mode
+ * 0666 less the umask, like any ordinary output file.  Returns false
+ * with a message on any failure (the temp file is removed).
  */
 bool atomicWriteFile(const std::string &path, std::string_view bytes,
                      std::string *error = nullptr);

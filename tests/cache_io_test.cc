@@ -15,6 +15,8 @@
 #include <string>
 #include <vector>
 
+#include <sys/stat.h>
+
 #include "common/file_util.hh"
 #include "dse/design_space.hh"
 #include "search/cache_io.hh"
@@ -265,6 +267,23 @@ TEST(FileUtil, AtomicWriteThenMmapRoundTrip)
     MappedFile remap;
     ASSERT_TRUE(remap.open(path, &error)) << error;
     EXPECT_EQ(remap.view(), "shorter");
+    std::remove(path.c_str());
+}
+
+TEST(FileUtil, AtomicWriteCreatesFilesUnderTheUmask)
+{
+    // A staged-and-renamed artifact gets the mode any ordinary output
+    // file would (0666 less the umask), not a temp file's 0600.
+    const std::string path =
+        ::testing::TempDir() + "cache_io_mode.bin";
+    const mode_t old_mask = ::umask(022);
+    std::string error;
+    const bool wrote = atomicWriteFile(path, "mode", &error);
+    ::umask(old_mask);
+    ASSERT_TRUE(wrote) << error;
+    struct stat st;
+    ASSERT_EQ(::stat(path.c_str(), &st), 0);
+    EXPECT_EQ(st.st_mode & 0777, 0644u);
     std::remove(path.c_str());
 }
 
