@@ -1,167 +1,37 @@
 #include "profiler/profile_io.hh"
 
-#include <algorithm>
-#include <array>
-#include <cstddef>
-#include <fstream>
-#include <limits>
 #include <ostream>
+#include <string_view>
 
 #include "branch/predictor.hh"
+#include "common/byte_codec.hh"
+#include "common/file_util.hh"
 
 namespace mech {
 
 namespace {
 
-/** File magic: "MPRF". */
-constexpr std::array<char, 4> kMagic = {'M', 'P', 'R', 'F'};
+/** File magic. */
+constexpr std::string_view kMagic = "MPRF";
 
-/** Trailing end marker: "MEND" (catches tail truncation). */
-constexpr std::array<char, 4> kEndMarker = {'M', 'E', 'N', 'D'};
+/** Trailing end marker (catches tail truncation). */
+constexpr std::string_view kEndMarker = "MEND";
 
 /** Artifact flag bits. */
 constexpr std::uint32_t kFlagHasTrace = 1u << 0;
 
 /**
- * Upfront reservation cap for length-prefixed sections.  The length
- * field of a corrupt file is untrusted: reserving all of it at once
- * would turn a forged length into a multi-GiB allocation
- * (std::bad_alloc) before any payload byte is read.  Reserving at
- * most this many entries keeps honest files allocation-efficient
- * while a forged length simply runs out of payload and raises the
- * truncation error.
+ * Encoded bytes of one record in each length-prefixed section, for
+ * ByteReader::count(): a forged length fails before anything is
+ * reserved for it.
  */
-constexpr std::uint64_t kReserveCap = 1u << 16;
-
-/** Little-endian byte writer over a std::ostream. */
-class Writer
-{
-  public:
-    explicit Writer(std::ostream &os) : os(os) {}
-
-    void
-    bytes(const void *data, std::size_t n)
-    {
-        os.write(static_cast<const char *>(data),
-                 static_cast<std::streamsize>(n));
-        if (!os)
-            throw ProfileIoError("profile write failed");
-    }
-
-    void u8(std::uint8_t v) { bytes(&v, 1); }
-
-    void
-    u16(std::uint16_t v)
-    {
-        std::array<std::uint8_t, 2> b = {
-            static_cast<std::uint8_t>(v),
-            static_cast<std::uint8_t>(v >> 8)};
-        bytes(b.data(), b.size());
-    }
-
-    void
-    u32(std::uint32_t v)
-    {
-        std::array<std::uint8_t, 4> b = {
-            static_cast<std::uint8_t>(v),
-            static_cast<std::uint8_t>(v >> 8),
-            static_cast<std::uint8_t>(v >> 16),
-            static_cast<std::uint8_t>(v >> 24)};
-        bytes(b.data(), b.size());
-    }
-
-    void
-    u64(std::uint64_t v)
-    {
-        std::array<std::uint8_t, 8> b;
-        for (std::size_t i = 0; i < 8; ++i)
-            b[i] = static_cast<std::uint8_t>(v >> (8 * i));
-        bytes(b.data(), b.size());
-    }
-
-    void
-    str(const std::string &s)
-    {
-        u64(s.size());
-        if (!s.empty())
-            bytes(s.data(), s.size());
-    }
-
-  private:
-    std::ostream &os;
-};
-
-/** Little-endian byte reader with truncation detection. */
-class Reader
-{
-  public:
-    explicit Reader(std::istream &is) : is(is) {}
-
-    void
-    bytes(void *data, std::size_t n)
-    {
-        is.read(static_cast<char *>(data),
-                static_cast<std::streamsize>(n));
-        if (static_cast<std::size_t>(is.gcount()) != n)
-            throw ProfileIoError("truncated profile artifact");
-    }
-
-    std::uint8_t
-    u8()
-    {
-        std::uint8_t v;
-        bytes(&v, 1);
-        return v;
-    }
-
-    std::uint16_t
-    u16()
-    {
-        std::array<std::uint8_t, 2> b;
-        bytes(b.data(), b.size());
-        return static_cast<std::uint16_t>(
-            b[0] | static_cast<std::uint16_t>(b[1]) << 8);
-    }
-
-    std::uint32_t
-    u32()
-    {
-        std::array<std::uint8_t, 4> b;
-        bytes(b.data(), b.size());
-        return b[0] | static_cast<std::uint32_t>(b[1]) << 8 |
-               static_cast<std::uint32_t>(b[2]) << 16 |
-               static_cast<std::uint32_t>(b[3]) << 24;
-    }
-
-    std::uint64_t
-    u64()
-    {
-        std::array<std::uint8_t, 8> b;
-        bytes(b.data(), b.size());
-        std::uint64_t v = 0;
-        for (std::size_t i = 0; i < 8; ++i)
-            v |= static_cast<std::uint64_t>(b[i]) << (8 * i);
-        return v;
-    }
-
-    std::string
-    str()
-    {
-        std::uint64_t n = u64();
-        if (n > (1u << 20))
-            throw ProfileIoError("implausible string length");
-        std::string s(n, '\0');
-        if (n)
-            bytes(s.data(), n);
-        return s;
-    }
-
-  private:
-    std::istream &is;
-};
+constexpr std::size_t kU64Bytes = 8;
+constexpr std::size_t kBranchProfileBytes = 1 + 4 * 8;
+constexpr std::size_t kL2RefBytes = 8 + 8 + 1;
+constexpr std::size_t kTraceInstrBytes = 3 * 8 + 3 * 2 + 1 + 1;
 
 void
-writeHistogram(Writer &w, const Histogram &h)
+writeHistogram(ByteWriter &w, const Histogram &h)
 {
     const auto &counts = h.data();
     w.u64(counts.size());
@@ -170,12 +40,13 @@ writeHistogram(Writer &w, const Histogram &h)
 }
 
 Histogram
-readHistogram(Reader &r)
+readHistogram(ByteReader &r)
 {
     Histogram h;
     std::uint64_t size = r.u64();
     if (size > (1u << 24))
         throw ProfileIoError("implausible histogram size");
+    r.count(size, kU64Bytes);
     for (std::uint64_t k = 0; k < size; ++k) {
         std::uint64_t c = r.u64();
         if (c)
@@ -185,7 +56,7 @@ readHistogram(Reader &r)
 }
 
 void
-writeIdxVector(Writer &w, const std::vector<std::uint64_t> &v)
+writeIdxVector(ByteWriter &w, const std::vector<std::uint64_t> &v)
 {
     w.u64(v.size());
     for (std::uint64_t x : v)
@@ -193,20 +64,19 @@ writeIdxVector(Writer &w, const std::vector<std::uint64_t> &v)
 }
 
 std::vector<std::uint64_t>
-readIdxVector(Reader &r)
+readIdxVector(ByteReader &r)
 {
     std::uint64_t n = r.u64();
     if (n > (1ull << 32))
         throw ProfileIoError("implausible index-vector length");
-    std::vector<std::uint64_t> v;
-    v.reserve(std::min(n, kReserveCap));
-    for (std::uint64_t i = 0; i < n; ++i)
-        v.push_back(r.u64());
+    std::vector<std::uint64_t> v(r.count(n, kU64Bytes));
+    for (std::uint64_t &x : v)
+        x = r.u64();
     return v;
 }
 
 void
-writeMemoryStats(Writer &w, const MemoryStats &m)
+writeMemoryStats(ByteWriter &w, const MemoryStats &m)
 {
     w.u64(m.iFetchL2Hits);
     w.u64(m.iFetchMemory);
@@ -220,7 +90,7 @@ writeMemoryStats(Writer &w, const MemoryStats &m)
 }
 
 MemoryStats
-readMemoryStats(Reader &r)
+readMemoryStats(ByteReader &r)
 {
     MemoryStats m;
     m.iFetchL2Hits = r.u64();
@@ -236,7 +106,7 @@ readMemoryStats(Reader &r)
 }
 
 void
-writeProgramStats(Writer &w, const ProgramStats &p)
+writeProgramStats(ByteWriter &w, const ProgramStats &p)
 {
     w.u64(p.n);
     w.u32(static_cast<std::uint32_t>(kNumOpClasses));
@@ -250,7 +120,7 @@ writeProgramStats(Writer &w, const ProgramStats &p)
 }
 
 ProgramStats
-readProgramStats(Reader &r)
+readProgramStats(ByteReader &r)
 {
     ProgramStats p;
     p.n = r.u64();
@@ -267,7 +137,7 @@ readProgramStats(Reader &r)
 }
 
 void
-writeBranchProfiles(Writer &w, const std::vector<BranchProfile> &bps)
+writeBranchProfiles(ByteWriter &w, const std::vector<BranchProfile> &bps)
 {
     w.u32(static_cast<std::uint32_t>(bps.size()));
     for (const BranchProfile &bp : bps) {
@@ -280,12 +150,12 @@ writeBranchProfiles(Writer &w, const std::vector<BranchProfile> &bps)
 }
 
 std::vector<BranchProfile>
-readBranchProfiles(Reader &r)
+readBranchProfiles(ByteReader &r)
 {
     std::uint32_t n = r.u32();
     if (n > 64)
         throw ProfileIoError("implausible branch-profile count");
-    std::vector<BranchProfile> bps(n);
+    std::vector<BranchProfile> bps(r.count(n, kBranchProfileBytes));
     for (BranchProfile &bp : bps) {
         std::uint8_t kind = r.u8();
         if (kind > static_cast<std::uint8_t>(PredictorKind::Hybrid3K5))
@@ -300,7 +170,7 @@ readBranchProfiles(Reader &r)
 }
 
 void
-writeL2Stream(Writer &w, const std::vector<L2Ref> &stream)
+writeL2Stream(ByteWriter &w, const std::vector<L2Ref> &stream)
 {
     w.u64(stream.size());
     for (const L2Ref &ref : stream) {
@@ -311,28 +181,25 @@ writeL2Stream(Writer &w, const std::vector<L2Ref> &stream)
 }
 
 std::vector<L2Ref>
-readL2Stream(Reader &r)
+readL2Stream(ByteReader &r)
 {
     std::uint64_t n = r.u64();
     if (n > (1ull << 32))
         throw ProfileIoError("implausible L2-stream length");
-    std::vector<L2Ref> stream;
-    stream.reserve(std::min(n, kReserveCap));
-    for (std::uint64_t i = 0; i < n; ++i) {
-        L2Ref ref;
+    std::vector<L2Ref> stream(r.count(n, kL2RefBytes));
+    for (L2Ref &ref : stream) {
         ref.addr = r.u64();
         ref.instrIdx = r.u64();
         std::uint8_t kind = r.u8();
         if (kind > static_cast<std::uint8_t>(L2RefKind::Store))
             throw ProfileIoError("unknown L2 reference kind");
         ref.kind = static_cast<L2RefKind>(kind);
-        stream.push_back(ref);
     }
     return stream;
 }
 
 void
-writeTrace(Writer &w, const Trace &trace)
+writeTrace(ByteWriter &w, const Trace &trace)
 {
     w.u64(trace.size());
     for (const DynInstr &di : trace) {
@@ -348,13 +215,13 @@ writeTrace(Writer &w, const Trace &trace)
 }
 
 Trace
-readTrace(Reader &r)
+readTrace(ByteReader &r)
 {
     std::uint64_t n = r.u64();
     if (n > (1ull << 32))
         throw ProfileIoError("implausible trace length");
     Trace trace;
-    trace.reserve(std::min(n, kReserveCap));
+    trace.reserve(r.count(n, kTraceInstrBytes));
     for (std::uint64_t i = 0; i < n; ++i) {
         DynInstr di;
         di.pc = r.u64();
@@ -373,36 +240,10 @@ readTrace(Reader &r)
     return trace;
 }
 
-} // namespace
-
-void
-writeProfileArtifact(const ProfileArtifact &artifact, std::ostream &os)
-{
-    Writer w(os);
-    w.bytes(kMagic.data(), kMagic.size());
-    w.u32(kProfileFormatVersion);
-    w.u32(artifact.hasTrace ? kFlagHasTrace : 0);
-    w.str(artifact.name);
-
-    writeProgramStats(w, artifact.profile.program);
-    writeMemoryStats(w, artifact.profile.memory);
-    writeBranchProfiles(w, artifact.profile.branchProfiles);
-    writeL2Stream(w, artifact.profile.l2Stream);
-
-    if (artifact.hasTrace)
-        writeTrace(w, artifact.trace);
-
-    w.bytes(kEndMarker.data(), kEndMarker.size());
-}
-
 ProfileArtifact
-readProfileArtifact(std::istream &is)
+readArtifact(ByteReader &r)
 {
-    Reader r(is);
-
-    std::array<char, 4> magic;
-    r.bytes(magic.data(), magic.size());
-    if (magic != kMagic)
+    if (r.bytes(kMagic.size()) != kMagic)
         throw ProfileIoError("not a profile artifact (bad magic)");
 
     std::uint32_t version = r.u32();
@@ -416,7 +257,7 @@ readProfileArtifact(std::istream &is)
     std::uint32_t flags = r.u32();
     ProfileArtifact artifact;
     artifact.hasTrace = (flags & kFlagHasTrace) != 0;
-    artifact.name = r.str();
+    artifact.name = r.str<std::uint64_t>(1u << 20);
 
     artifact.profile.program = readProgramStats(r);
     artifact.profile.memory = readMemoryStats(r);
@@ -426,34 +267,65 @@ readProfileArtifact(std::istream &is)
     if (artifact.hasTrace)
         artifact.trace = readTrace(r);
 
-    std::array<char, 4> end;
-    r.bytes(end.data(), end.size());
-    if (end != kEndMarker)
+    if (r.bytes(kEndMarker.size()) != kEndMarker)
         throw ProfileIoError("corrupt profile artifact (bad end marker)");
-
+    if (!r.atEnd())
+        throw ProfileIoError("trailing bytes after the end marker");
     return artifact;
+}
+
+} // namespace
+
+std::string
+encodeProfileArtifact(const ProfileArtifact &artifact)
+{
+    ByteWriter w;
+    w.bytes(kMagic);
+    w.u32(kProfileFormatVersion);
+    w.u32(artifact.hasTrace ? kFlagHasTrace : 0);
+    w.str<std::uint64_t>(artifact.name);
+
+    writeProgramStats(w, artifact.profile.program);
+    writeMemoryStats(w, artifact.profile.memory);
+    writeBranchProfiles(w, artifact.profile.branchProfiles);
+    writeL2Stream(w, artifact.profile.l2Stream);
+
+    if (artifact.hasTrace)
+        writeTrace(w, artifact.trace);
+
+    w.bytes(kEndMarker);
+    return w.take();
+}
+
+ProfileArtifact
+decodeProfileArtifact(std::string_view bytes)
+{
+    ByteReader r(bytes);
+    try {
+        return readArtifact(r);
+    } catch (const ByteCodecError &e) {
+        throw ProfileIoError(std::string("corrupt profile artifact (") +
+                             e.what() + ")");
+    }
 }
 
 void
 saveProfileArtifact(const ProfileArtifact &artifact,
                     const std::string &path)
 {
-    std::ofstream os(path, std::ios::binary);
-    if (!os)
-        throw ProfileIoError("cannot open '" + path + "' for writing");
-    writeProfileArtifact(artifact, os);
-    os.flush();
-    if (!os)
-        throw ProfileIoError("write to '" + path + "' failed");
+    std::string error;
+    if (!atomicWriteFile(path, encodeProfileArtifact(artifact), &error))
+        throw ProfileIoError("cannot save profile artifact: " + error);
 }
 
 ProfileArtifact
 loadProfileArtifact(const std::string &path)
 {
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
-        throw ProfileIoError("cannot open '" + path + "' for reading");
-    return readProfileArtifact(is);
+    MappedFile file;
+    std::string error;
+    if (!file.open(path, &error))
+        throw ProfileIoError("cannot load profile artifact: " + error);
+    return decodeProfileArtifact(file.view());
 }
 
 void

@@ -17,15 +17,23 @@
  * trace-replaying backends ("sim") work from a loaded artifact too;
  * model-only artifacts can omit it (roughly 40x smaller).
  *
- * Format: a versioned little-endian binary layout — stable across
- * hosts of either endianness because every integer is encoded
- * byte-by-byte.  All profile quantities are integers, so a round trip
- * is exact and model results computed from a loaded artifact are
- * bit-identical to the in-process path.  A JSON debug dump
- * (writeProfileJson) mirrors the summary statistics for humans.
+ * Format: a versioned little-endian binary layout, encoded through
+ * the shared byte codec (common/byte_codec.hh) that `.mcache` spills
+ * use too — stable across hosts of either endianness because every
+ * integer is encoded byte-by-byte.  All profile quantities are
+ * integers, so a round trip is exact and model results computed from
+ * a loaded artifact are bit-identical to the in-process path.  A JSON
+ * debug dump (writeProfileJson) mirrors the summary statistics for
+ * humans.
  *
- * Readers reject bad magic, truncated files, and artifacts written by
- * future format versions with ProfileIoError.
+ * Files go through the same path as every other binary artifact:
+ * saves are atomic (atomicWriteFile stages, fsyncs and renames, so a
+ * concurrent reader sees the old artifact or the new one, never a
+ * prefix) and loads decode straight out of a MappedFile.
+ *
+ * Decoding rejects bad magic, truncation, trailing bytes after the
+ * end marker, artifacts written by future format versions, and any
+ * count too large for the bytes that follow, with ProfileIoError.
  */
 
 #ifndef MECH_PROFILER_PROFILE_IO_HH
@@ -35,6 +43,7 @@
 #include <iosfwd>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "profiler/profile_data.hh"
 #include "trace/trace.hh"
@@ -73,23 +82,25 @@ struct ProfileArtifact
     bool hasTrace = true;
 };
 
-/** Serialize @p artifact to @p os.  Throws ProfileIoError on I/O failure. */
-void writeProfileArtifact(const ProfileArtifact &artifact,
-                          std::ostream &os);
+/** Encode @p artifact as `.mprof` bytes. */
+std::string encodeProfileArtifact(const ProfileArtifact &artifact);
 
 /**
- * Deserialize an artifact from @p is.
+ * Decode an artifact from @p bytes, which must hold exactly one.
  *
- * Throws ProfileIoError on bad magic, truncation, unsupported future
- * versions, or any malformed payload.
+ * Throws ProfileIoError on bad magic, truncation, trailing bytes,
+ * unsupported future versions, or any malformed payload.
  */
-ProfileArtifact readProfileArtifact(std::istream &is);
+ProfileArtifact decodeProfileArtifact(std::string_view bytes);
 
-/** Save @p artifact to @p path (binary). */
+/**
+ * Save @p artifact to @p path atomically (see atomicWriteFile).
+ * Throws ProfileIoError when the file cannot be written.
+ */
 void saveProfileArtifact(const ProfileArtifact &artifact,
                          const std::string &path);
 
-/** Load an artifact from @p path. */
+/** Map and decode the artifact at @p path (throws ProfileIoError). */
 ProfileArtifact loadProfileArtifact(const std::string &path);
 
 /**

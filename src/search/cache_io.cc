@@ -1,99 +1,16 @@
 #include "search/cache_io.hh"
 
 #include <cstdio>
-#include <cstring>
 #include <optional>
 #include <utility>
+
+#include "common/byte_codec.hh"
 
 namespace mech {
 
 namespace {
 
-constexpr char kMagic[4] = {'M', 'C', 'S', 'P'};
-
-/** Append @p v little-endian, byte by byte. */
-template <typename T>
-void
-putU(std::string &out, T v)
-{
-    for (std::size_t i = 0; i < sizeof(T); ++i)
-        out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-void
-putF64(std::string &out, double v)
-{
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    putU(out, bits);
-}
-
-void
-putString(std::string &out, std::string_view s)
-{
-    putU(out, static_cast<std::uint32_t>(s.size()));
-    out.append(s.data(), s.size());
-}
-
-/** Bounded little-endian reader over the mapped bytes. */
-class Reader
-{
-  public:
-    explicit Reader(std::string_view bytes) : data(bytes) {}
-
-    bool
-    take(std::size_t n, const char **out)
-    {
-        if (data.size() - pos < n)
-            return false;
-        *out = data.data() + pos;
-        pos += n;
-        return true;
-    }
-
-    template <typename T>
-    bool
-    getU(T *out)
-    {
-        const char *p;
-        if (!take(sizeof(T), &p))
-            return false;
-        T v = 0;
-        for (std::size_t i = 0; i < sizeof(T); ++i) {
-            v |= static_cast<T>(static_cast<unsigned char>(p[i]))
-                 << (8 * i);
-        }
-        *out = v;
-        return true;
-    }
-
-    bool
-    getF64(double *out)
-    {
-        std::uint64_t bits;
-        if (!getU(&bits))
-            return false;
-        std::memcpy(out, &bits, sizeof(*out));
-        return true;
-    }
-
-    bool
-    getString(std::string *out)
-    {
-        std::uint32_t len;
-        const char *p;
-        if (!getU(&len) || !take(len, &p))
-            return false;
-        out->assign(p, len);
-        return true;
-    }
-
-    bool atEnd() const { return pos == data.size(); }
-
-  private:
-    std::string_view data;
-    std::size_t pos = 0;
-};
+constexpr std::string_view kMagic = "MCSP";
 
 /** FNV-1a over a string, for spill file names. */
 std::uint64_t
@@ -122,27 +39,27 @@ encodeEvalCache(const EvalCache &cache, const std::string &group_key,
                 std::uint32_t aggregate_len,
                 std::uint32_t per_bench_len)
 {
-    std::string out;
-    out.append(kMagic, sizeof(kMagic));
-    putU(out, kCacheSpillFormatVersion);
+    ByteWriter w;
+    w.bytes(kMagic);
+    w.u32(kCacheSpillFormatVersion);
     // Probe hash: lets a reader detect a changed DesignPoint::hash()
     // from the header alone, before touching any entry.
-    putU(out, defaultDesignPoint().hash());
-    putString(out, group_key);
-    putU(out, aggregate_len);
-    putU(out, per_bench_len);
+    w.u64(defaultDesignPoint().hash());
+    w.str<std::uint32_t>(group_key);
+    w.u32(aggregate_len);
+    w.u32(per_bench_len);
 
     const std::vector<const SearchEval *> entries = cache.entries();
-    putU(out, static_cast<std::uint64_t>(entries.size()));
+    w.u64(entries.size());
     for (const SearchEval *eval : entries) {
-        putString(out, eval->point.toKey());
-        putU(out, eval->point.hash());
+        w.str<std::uint32_t>(eval->point.toKey());
+        w.u64(eval->point.hash());
         for (double v : eval->aggregate)
-            putF64(out, v);
+            w.f64(v);
         for (double v : eval->perBench)
-            putF64(out, v);
+            w.f64(v);
     }
-    return out;
+    return w.take();
 }
 
 bool
@@ -152,83 +69,72 @@ decodeEvalCache(std::string_view bytes,
                 std::uint32_t per_bench_len, EvalCache *out,
                 std::string *error)
 {
-    Reader r(bytes);
-    const char *magic;
-    if (!r.take(sizeof(kMagic), &magic) ||
-        std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-        return fail(error, "not a cache spill (bad magic)");
-    }
-    std::uint32_t version;
-    if (!r.getU(&version))
-        return fail(error, "truncated header");
-    if (version != kCacheSpillFormatVersion) {
-        return fail(error, "unsupported spill format version " +
-                               std::to_string(version) + " (this "
-                               "build reads version " +
-                               std::to_string(kCacheSpillFormatVersion) +
-                               ")");
-    }
-    std::uint64_t probe;
-    if (!r.getU(&probe))
-        return fail(error, "truncated header");
-    if (probe != defaultDesignPoint().hash()) {
-        return fail(error,
-                    "DesignPoint hash scheme changed since this spill "
-                    "was written; discarding it");
-    }
-    std::string group_key;
-    if (!r.getString(&group_key))
-        return fail(error, "truncated group key");
-    if (group_key != expected_group_key) {
-        return fail(error, "spill belongs to group '" + group_key +
-                               "', not '" + expected_group_key + "'");
-    }
-    std::uint32_t agg_len, pb_len;
-    if (!r.getU(&agg_len) || !r.getU(&pb_len))
-        return fail(error, "truncated layout header");
-    if (agg_len != aggregate_len || pb_len != per_bench_len) {
-        return fail(error, "objective layout mismatch (spill " +
-                               std::to_string(agg_len) + "/" +
-                               std::to_string(pb_len) + ", group " +
-                               std::to_string(aggregate_len) + "/" +
-                               std::to_string(per_bench_len) + ")");
-    }
-
-    std::uint64_t count;
-    if (!r.getU(&count))
-        return fail(error, "truncated entry count");
-    for (std::uint64_t i = 0; i < count; ++i) {
-        std::string key;
-        std::uint64_t stored_hash;
-        if (!r.getString(&key) || !r.getU(&stored_hash))
-            return fail(error, "truncated entry " + std::to_string(i));
-        std::optional<DesignPoint> point = DesignPoint::fromKey(key);
-        if (!point) {
-            return fail(error, "entry " + std::to_string(i) +
-                                   " has a malformed point key '" +
-                                   key + "'");
-        }
-        if (point->hash() != stored_hash) {
+    ByteReader r(bytes);
+    try {
+        if (r.bytes(kMagic.size()) != kMagic)
+            return fail(error, "not a cache spill (bad magic)");
+        std::uint32_t version = r.u32();
+        if (version != kCacheSpillFormatVersion) {
             return fail(error,
-                        "entry " + std::to_string(i) +
-                            " hash mismatch (stale DesignPoint hash "
-                            "scheme); discarding spill");
+                        "unsupported spill format version " +
+                            std::to_string(version) + " (this build "
+                            "reads version " +
+                            std::to_string(kCacheSpillFormatVersion) +
+                            ")");
         }
-        SearchEval eval;
-        eval.point = *point;
-        eval.aggregate.resize(aggregate_len);
-        eval.perBench.resize(per_bench_len);
-        for (double &v : eval.aggregate) {
-            if (!r.getF64(&v))
+        if (r.u64() != defaultDesignPoint().hash()) {
+            return fail(error,
+                        "DesignPoint hash scheme changed since this "
+                        "spill was written; discarding it");
+        }
+        std::string group_key = r.str<std::uint32_t>();
+        if (group_key != expected_group_key) {
+            return fail(error, "spill belongs to group '" + group_key +
+                                   "', not '" + expected_group_key +
+                                   "'");
+        }
+        std::uint32_t agg_len = r.u32();
+        std::uint32_t pb_len = r.u32();
+        if (agg_len != aggregate_len || pb_len != per_bench_len) {
+            return fail(error, "objective layout mismatch (spill " +
+                                   std::to_string(agg_len) + "/" +
+                                   std::to_string(pb_len) + ", group " +
+                                   std::to_string(aggregate_len) + "/" +
+                                   std::to_string(per_bench_len) + ")");
+        }
+
+        // Each entry holds at least a key prefix, a hash and its
+        // objective values.
+        const std::size_t entry_bytes =
+            4 + 8 + 8 * (std::size_t{aggregate_len} + per_bench_len);
+        const std::size_t count = r.count(r.u64(), entry_bytes);
+        for (std::size_t i = 0; i < count; ++i) {
+            const std::string key = r.str<std::uint32_t>();
+            std::optional<DesignPoint> point = DesignPoint::fromKey(key);
+            if (!point) {
+                return fail(error, "entry " + std::to_string(i) +
+                                       " has a malformed point key '" +
+                                       key + "'");
+            }
+            if (point->hash() != r.u64()) {
                 return fail(error,
-                            "truncated entry " + std::to_string(i));
+                            "entry " + std::to_string(i) +
+                                " hash mismatch (stale DesignPoint hash "
+                                "scheme); discarding spill");
+            }
+            SearchEval eval;
+            eval.point = *point;
+            eval.aggregate.resize(aggregate_len);
+            eval.perBench.resize(per_bench_len);
+            for (double &v : eval.aggregate)
+                v = r.f64();
+            for (double &v : eval.perBench)
+                v = r.f64();
+            out->insert(std::move(eval));
         }
-        for (double &v : eval.perBench) {
-            if (!r.getF64(&v))
-                return fail(error,
-                            "truncated entry " + std::to_string(i));
-        }
-        out->insert(std::move(eval));
+    } catch (const ByteCodecError &e) {
+        return fail(error, std::string("corrupt cache spill (") +
+                               e.what() + ")");
     }
     if (!r.atEnd())
         return fail(error, "trailing bytes after the last entry");

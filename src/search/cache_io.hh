@@ -10,15 +10,16 @@
  * aggregate/per-benchmark objective values (IEEE-754 bit patterns,
  * so a load is bit-identical to the evaluations that produced it).
  *
- * Like the `.mprof` codec (profiler/profile_io.hh) the layout is a
- * versioned little-endian binary encoding, integers written
- * byte-by-byte so the file is stable across hosts of either
- * endianness.
+ * The layout is a versioned little-endian binary encoding written
+ * and read through the byte codec every binary artifact shares
+ * (common/byte_codec.hh, also behind `.mprof`), so the file is stable
+ * across hosts of either endianness.
  *
  * Loads are strict — a spill is a cache, and a stale cache is worse
  * than a cold one.  decodeEvalCache() rejects, without crashing:
  *
- *   - bad magic, truncation, trailing bytes, future format versions;
+ *   - bad magic, truncation, trailing bytes, future format versions,
+ *     an entry count too large for the bytes that follow;
  *   - a group-key mismatch (the file belongs to another
  *     bench/backends/objectives combination);
  *   - an objective-layout mismatch (aggregate/per-bench lengths);

@@ -3,17 +3,19 @@
  * Tests for the `.mprof` profile artifact codec: bit-identical model
  * results across a save/load round trip over the full 192-point
  * Table 2 space (the acceptance contract of the artifact workflow),
- * lossless field-level round trips, and rejection of truncated files,
- * bad magic, and future format versions.
+ * lossless field-level round trips, rejection of truncated files,
+ * trailing bytes, bad magic, and future format versions, and atomic
+ * overwrites that never disturb a reader holding the old file.
  */
 
 #include <cstddef>
-#include <sstream>
+#include <filesystem>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/file_util.hh"
 #include "dse/design_space.hh"
 #include "dse/study.hh"
 #include "eval/registry.hh"
@@ -37,9 +39,7 @@ encodedArtifact()
         artifact.profile = study.profile();
         artifact.trace = study.trace();
         artifact.hasTrace = true;
-        std::ostringstream os(std::ios::binary);
-        writeProfileArtifact(artifact, os);
-        return os.str();
+        return encodeProfileArtifact(artifact);
     }();
     return encoded;
 }
@@ -47,8 +47,7 @@ encodedArtifact()
 ProfileArtifact
 decode(const std::string &bytes)
 {
-    std::istringstream is(bytes, std::ios::binary);
-    return readProfileArtifact(is);
+    return decodeProfileArtifact(bytes);
 }
 
 // ---- golden equality: artifact path vs in-process path --------------------------
@@ -109,14 +108,10 @@ TEST(ProfileIo, SimulationBitIdenticalFromLoadedTrace)
 TEST(ProfileIo, FieldsRoundTripLosslessly)
 {
     ProfileArtifact artifact = decode(encodedArtifact());
-    ProfileArtifact again;
-    {
-        std::ostringstream os(std::ios::binary);
-        writeProfileArtifact(artifact, os);
-        ASSERT_EQ(os.str(), encodedArtifact())
-            << "re-encoding must be byte-identical";
-        again = decode(os.str());
-    }
+    const std::string reencoded = encodeProfileArtifact(artifact);
+    ASSERT_EQ(reencoded, encodedArtifact())
+        << "re-encoding must be byte-identical";
+    ProfileArtifact again = decode(reencoded);
 
     const WorkloadProfile &p = artifact.profile;
     const WorkloadProfile &q = again.profile;
@@ -215,6 +210,54 @@ TEST(ProfileIo, RejectsTrailingCorruption)
     // be trusted.
     bytes[bytes.size() - 1] = '?';
     EXPECT_THROW(decode(bytes), ProfileIoError);
+}
+
+TEST(ProfileIo, RejectsTrailingBytes)
+{
+    const std::string bytes = encodedArtifact() + '\0';
+    EXPECT_THROW(decode(bytes), ProfileIoError);
+
+    // The file path decodes the same bytes the same way.
+    const std::string path =
+        testing::TempDir() + "profile_io_trailing.mprof";
+    ASSERT_TRUE(atomicWriteFile(path, bytes));
+    EXPECT_THROW(loadProfileArtifact(path), ProfileIoError);
+}
+
+TEST(ProfileIo, OverwriteLeavesOldMappingIntact)
+{
+    const std::filesystem::path dir =
+        testing::TempDir() + "profile_io_overwrite";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directory(dir);
+    const std::string path = (dir / "patricia.mprof").string();
+
+    const ProfileArtifact a = decode(encodedArtifact());
+    ProfileArtifact b = a;
+    b.name = "patricia-notrace";
+    b.hasTrace = false;
+    b.trace = Trace();
+
+    saveProfileArtifact(a, path);
+    MappedFile held;
+    ASSERT_TRUE(held.open(path));
+    saveProfileArtifact(b, path);
+
+    // The reader that mapped A before the overwrite still sees all
+    // of A: the save replaced the directory entry, not the bytes.
+    ASSERT_EQ(held.size(), encodedArtifact().size());
+    EXPECT_TRUE(held.view() == encodedArtifact());
+    EXPECT_EQ(decodeProfileArtifact(held.view()).name, a.name);
+
+    ProfileArtifact loaded = loadProfileArtifact(path);
+    EXPECT_EQ(loaded.name, b.name);
+    EXPECT_FALSE(loaded.hasTrace);
+
+    for (const auto &entry : std::filesystem::directory_iterator(dir)) {
+        EXPECT_EQ(entry.path().filename().string().find(".tmp."),
+                  std::string::npos)
+            << "staging file left behind: " << entry.path();
+    }
 }
 
 TEST(ProfileIo, MissingFileThrows)

@@ -271,9 +271,8 @@ runProfileRoundtrip(Fixture &fx, const bench::MeasureOptions &opts,
     ProfileArtifact artifact = fx.study().artifact(true);
     auto m = bench::measure(
         [&] {
-            std::stringstream ss;
-            writeProfileArtifact(artifact, ss);
-            ProfileArtifact loaded = readProfileArtifact(ss);
+            ProfileArtifact loaded =
+                decodeProfileArtifact(encodeProfileArtifact(artifact));
             bench::doNotOptimize(loaded.profile.program.n);
         },
         opts);
