@@ -8,7 +8,15 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+#include <string>
+#include <utility>
+
+#include "cache/cache.hh"
+#include "dse/study.hh"
 #include "profiler/profiler.hh"
+#include "search/space_spec.hh"
 #include "test_util.hh"
 #include "workload/executor.hh"
 #include "workload/suites.hh"
@@ -282,6 +290,157 @@ TEST(ProfilerResweep, SmallerL2MissesMore)
     MemoryStats big = resweepL2(p, {1024 * 1024, 8, 64});
     MemoryStats small = resweepL2(p, {128 * 1024, 8, 64});
     EXPECT_GE(small.loadMemory, big.loadMemory);
+}
+
+// ---- L2 sweep against a per-geometry cache replay -------------------------------------------
+
+/**
+ * Reference: replay the captured L2 stream of @p profile into a fresh
+ * LRU SetAssocCache of the given geometry, one reference at a time.
+ */
+MemoryStats
+replayL2(const WorkloadProfile &profile, const CacheConfig &l2_config)
+{
+    MemoryStats out;
+    out.itlbMisses = profile.memory.itlbMisses;
+    out.dtlbMisses = profile.memory.dtlbMisses;
+    out.storeL1Misses = profile.memory.storeL1Misses;
+
+    SetAssocCache l2(l2_config);
+    for (const auto &ref : profile.l2Stream) {
+        bool hit = l2.access(ref.addr, ref.kind == L2RefKind::Store);
+        switch (ref.kind) {
+          case L2RefKind::Ifetch:
+            hit ? ++out.iFetchL2Hits : ++out.iFetchMemory;
+            break;
+          case L2RefKind::Load:
+            if (hit) {
+                ++out.loadL2Hits;
+                out.loadL2HitIdx.push_back(ref.instrIdx);
+            } else {
+                ++out.loadMemory;
+                out.loadMemoryIdx.push_back(ref.instrIdx);
+            }
+            break;
+          case L2RefKind::Store:
+            break;
+        }
+    }
+    return out;
+}
+
+/** Every MemoryStats field, index vectors included, must match. */
+void
+expectSameMemory(const MemoryStats &got, const MemoryStats &want,
+                 const std::string &where)
+{
+    EXPECT_EQ(got.iFetchL2Hits, want.iFetchL2Hits) << where;
+    EXPECT_EQ(got.iFetchMemory, want.iFetchMemory) << where;
+    EXPECT_EQ(got.loadL2Hits, want.loadL2Hits) << where;
+    EXPECT_EQ(got.loadMemory, want.loadMemory) << where;
+    EXPECT_EQ(got.storeL1Misses, want.storeL1Misses) << where;
+    EXPECT_EQ(got.itlbMisses, want.itlbMisses) << where;
+    EXPECT_EQ(got.dtlbMisses, want.dtlbMisses) << where;
+    EXPECT_EQ(got.loadMemoryIdx, want.loadMemoryIdx) << where;
+    EXPECT_EQ(got.loadL2HitIdx, want.loadL2HitIdx) << where;
+}
+
+TEST(L2Sweep, EveryWideGeometryMatchesACacheReplay)
+{
+    // The 56 `wide` geometries, plus one with more ways than the
+    // stack simulator tracks by default (one set of 1024 ways) and
+    // the widest 8 MiB one (1024 sets of 128 ways).
+    std::vector<std::pair<std::uint64_t, std::uint32_t>> geoms;
+    for (const DesignPoint &p : SpaceSpec::wide().l2Geometries())
+        geoms.emplace_back(p.l2KB, p.l2Assoc);
+    geoms.emplace_back(64, 1024);
+    geoms.emplace_back(8192, 128);
+
+    // Grouped by set count, the way DseStudy::prepare groups them.
+    std::map<std::uint64_t, std::vector<std::uint32_t>> by_sets;
+    for (const auto &[kb, assoc] : geoms)
+        by_sets[kb * 1024 / (assoc * 64ull)].push_back(assoc);
+
+    for (const BenchmarkProfile &bench : mibenchSuite()) {
+        DseStudy study(bench, 20000);
+        const WorkloadProfile &prof = study.profile();
+        ASSERT_FALSE(prof.l2Stream.empty()) << bench.name;
+        for (const auto &[sets, assocs] : by_sets) {
+            std::vector<MemoryStats> swept;
+            for (std::uint32_t assoc : assocs) {
+                swept.push_back(resweepL2(
+                    prof, {sets * assoc * 64, assoc, 64}));
+            }
+            ASSERT_EQ(swept.size(), assocs.size());
+            for (std::size_t i = 0; i < assocs.size(); ++i) {
+                const CacheConfig cfg{sets * assocs[i] * 64, assocs[i],
+                                      64};
+                expectSameMemory(swept[i], replayL2(prof, cfg),
+                                 bench.name + " l2kb=" +
+                                     std::to_string(cfg.sizeBytes / 1024) +
+                                     ",assoc=" + std::to_string(assocs[i]));
+            }
+        }
+    }
+}
+
+TEST(L2Sweep, FullyAssociativeMissesOnlyOnFirstTouch)
+{
+    // One set of 2^20 ways holds every block a short trace touches,
+    // so an ifetch or load misses exactly when no earlier L2
+    // reference (stores included) touched its 64 B block.
+    DseStudy study(profileByName("gcc"), 5000);
+    const WorkloadProfile &prof = study.profile();
+    std::uint64_t first_touches = 0;
+    std::set<Addr> seen;
+    for (const L2Ref &ref : prof.l2Stream) {
+        const bool first = seen.insert(ref.addr / 64).second;
+        if (first && ref.kind != L2RefKind::Store)
+            ++first_touches;
+    }
+    ASSERT_LT(seen.size(), std::size_t{1} << 20);
+    ASSERT_GT(first_touches, 0u);
+
+    MemoryStats mem = resweepL2(prof, {65536ull * 1024, 1u << 20, 64});
+    EXPECT_EQ(mem.iFetchMemory + mem.loadMemory, first_touches);
+    EXPECT_EQ(mem.iFetchL2Hits + mem.iFetchMemory + mem.loadL2Hits +
+                  mem.loadMemory + mem.storeL1Misses,
+              prof.l2Stream.size());
+}
+
+TEST(L2Sweep, PreparedStudyMatchesUnpreparedAtEveryWideGeometry)
+{
+    // prepare() derives all geometries of a set count in one pass; an
+    // unprepared study derives each point's geometry alone.  Both
+    // must give the same model and ooo results.
+    const BackendSet backends = backendSet("model,ooo");
+    const std::vector<DesignPoint> geoms =
+        SpaceSpec::wide().l2Geometries();
+    for (const char *name : {"gcc", "qsort"}) {
+        DseStudy prepared(profileByName(name), 20000);
+        prepared.prepare(geoms);
+        const DseStudy fresh(profileByName(name), 20000);
+        for (const DesignPoint &p : geoms) {
+            const PointEvaluation a =
+                std::as_const(prepared).evaluate(p, backends);
+            const PointEvaluation b = fresh.evaluate(p, backends);
+            ASSERT_EQ(a.results.size(), b.results.size());
+            for (std::size_t i = 0; i < a.results.size(); ++i) {
+                const EvalResult &ra = a.results[i];
+                const EvalResult &rb = b.results[i];
+                const std::string where =
+                    std::string(name) + " " + p.toKey() + " " + ra.backend;
+                EXPECT_EQ(ra.backend, rb.backend) << where;
+                EXPECT_EQ(ra.cycles, rb.cycles) << where;
+                EXPECT_EQ(ra.edp, rb.edp) << where;
+                for (std::size_t c = 0; c < kNumCpiComponents; ++c) {
+                    const auto comp = static_cast<CpiComponent>(c);
+                    EXPECT_EQ(ra.stack[comp], rb.stack[comp])
+                        << where << " " << cpiComponentName(comp);
+                }
+            }
+        }
+    }
 }
 
 // ---- whole-suite sanity -------------------------------------------------------------------
