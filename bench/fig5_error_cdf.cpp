@@ -41,6 +41,7 @@ main(int argc, char **argv)
     for (const auto &bench : suite) {
         auto t0 = clock::now();
         DseStudy study = bench::makeStudy(bench, args);
+        study.prepare(space);
         profile_seconds +=
             std::chrono::duration<double>(clock::now() - t0).count();
         for (const auto &point : space) {

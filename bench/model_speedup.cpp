@@ -148,7 +148,7 @@ main(int argc, char **argv)
 
     DseStudy study(bench_profile, len);
     DesignPoint off_default = defaultDesignPoint();
-    off_default.l2KB = 256; // off-default so the L2 resweep shows once
+    off_default.l2KB = 256; // off-default so the L2 sweep shows once
     study.prepare({off_default});
     double model_spi =
         timed("model_eval",

@@ -7,7 +7,9 @@
  * for *every* associativity of an LRU cache with a fixed set count
  * and block size, thanks to LRU's inclusion property.  The paper's
  * profiling methodology leans on this to cover a range of cache
- * configurations with a single profiling run.
+ * configurations with a single profiling run; sweepL2()
+ * (profiler/profiler.hh) derives every L2 geometry of a design-space
+ * study this way, one pass per set count.
  *
  * Implementation: each set keeps its recency order as an intrusive
  * doubly-linked list over a fixed arena of at most maxTrackedAssoc
@@ -65,8 +67,13 @@ class StackDistanceSimulator
      * of accesses through this call, and keeping it inlinable is
      * worth ~2x by itself (the cold insert/evict path stays
      * out-of-line in the .cc).
+     *
+     * @return The access's stack distance (1 = the set's MRU block),
+     *         or 0 when it is cold or deeper than maxTrackedAssoc.
+     *         Under LRU it hits an A-way cache exactly when the
+     *         distance lies in [1, A].
      */
-    void access(Addr addr);
+    std::uint64_t access(Addr addr);
 
     /** Total accesses observed. */
     std::uint64_t accesses() const { return total; }
@@ -191,7 +198,7 @@ class StackDistanceSimulator
     std::uint64_t total = 0;
 };
 
-inline void
+inline std::uint64_t
 StackDistanceSimulator::access(Addr addr)
 {
     const std::uint64_t block = addr >> blockShift;
@@ -204,7 +211,7 @@ StackDistanceSimulator::access(Addr addr)
     // with spatial locality.
     if (s.head != kNil && s.nodes[s.head].block == block) {
         distances.add(1);
-        return;
+        return 1;
     }
 
     const std::size_t map_pos = findSlot(block);
@@ -213,7 +220,7 @@ StackDistanceSimulator::access(Addr addr)
         // associativity.  Key 0 marks "deeper than tracked".
         distances.add(0);
         insertCold(s, block);
-        return;
+        return 0;
     }
 
     // Hit below the top: the depth walk stops at the node, so cost is
@@ -236,6 +243,7 @@ StackDistanceSimulator::access(Addr addr)
     n.next = s.head;
     s.nodes[s.head].prev = idx;
     s.head = idx;
+    return depth;
 }
 
 } // namespace mech

@@ -1,5 +1,6 @@
 #include "dse/study.hh"
 
+#include <algorithm>
 #include <filesystem>
 
 #include "workload/builder.hh"
@@ -17,6 +18,15 @@ studyProfilerConfig()
     cfg.predictors = {PredictorKind::Gshare1K, PredictorKind::Hybrid3K5};
     cfg.captureL2Stream = true;
     return cfg;
+}
+
+/** Sets of @p point's L2 at 64 B blocks. */
+std::uint64_t
+l2Sets(const DesignPoint &point)
+{
+    if (point.l2Assoc == 0)
+        fatal("cache geometry invalid: 0-way L2");
+    return point.l2KB * 1024 / (std::uint64_t{point.l2Assoc} * 64);
 }
 
 } // namespace
@@ -93,37 +103,36 @@ DseStudy::loadOrProfile(const std::string &dir,
 const MemoryStats *
 DseStudy::findMemo(const DesignPoint &point) const
 {
-    auto it = l2Memo.find(std::make_pair(point.l2KB, point.l2Assoc));
-    return it != l2Memo.end() ? &it->second : nullptr;
-}
-
-const MemoryStats &
-DseStudy::memoryFor(const DesignPoint &point)
-{
-    if (const MemoryStats *memo = findMemo(point))
-        return *memo;
-    return l2Memo
-        .emplace(std::make_pair(point.l2KB, point.l2Assoc),
-                 computeMemory(point))
-        .first->second;
-}
-
-MemoryStats
-DseStudy::computeMemory(const DesignPoint &point) const
-{
     const DesignPoint def = defaultDesignPoint();
     if (point.l2KB == def.l2KB && point.l2Assoc == def.l2Assoc)
-        return prof.memory;
-
-    CacheConfig l2{point.l2KB * 1024, point.l2Assoc, 64};
-    return resweepL2(prof, l2);
+        return &prof.memory;
+    auto it = l2Memo.find(std::make_pair(point.l2KB, point.l2Assoc));
+    return it != l2Memo.end() ? &it->second : nullptr;
 }
 
 void
 DseStudy::prepare(const std::vector<DesignPoint> &points)
 {
-    for (const auto &point : points)
-        memoryFor(point);
+    // The (l2KB, l2Assoc) geometries not yet memoized, grouped by set
+    // count: one stack-distance pass answers a whole group.
+    using Geometry = std::pair<std::uint64_t, std::uint32_t>;
+    std::map<std::uint64_t, std::vector<Geometry>> groups;
+    for (const auto &point : points) {
+        if (findMemo(point))
+            continue;
+        std::vector<Geometry> &group = groups[l2Sets(point)];
+        const Geometry geom(point.l2KB, point.l2Assoc);
+        if (std::find(group.begin(), group.end(), geom) == group.end())
+            group.push_back(geom);
+    }
+    for (const auto &[sets, group] : groups) {
+        std::vector<std::uint32_t> assocs;
+        for (const Geometry &geom : group)
+            assocs.push_back(geom.second);
+        std::vector<MemoryStats> stats = sweepL2(prof, sets, assocs);
+        for (std::size_t i = 0; i < group.size(); ++i)
+            l2Memo.emplace(group[i], std::move(stats[i]));
+    }
 }
 
 void
@@ -152,14 +161,6 @@ DseStudy::evaluateWithInto(PointEvaluation &out, const MemoryStats &mem,
 }
 
 PointEvaluation
-DseStudy::evaluate(const DesignPoint &point, const BackendSet &backends)
-{
-    PointEvaluation ev;
-    evaluateWithInto(ev, memoryFor(point), point, backends);
-    return ev;
-}
-
-PointEvaluation
 DseStudy::evaluate(const DesignPoint &point,
                    const BackendSet &backends) const
 {
@@ -176,7 +177,9 @@ DseStudy::evaluateInto(PointEvaluation &out, const DesignPoint &point,
         evaluateWithInto(out, *memo, point, backends);
         return;
     }
-    evaluateWithInto(out, computeMemory(point), point, backends);
+    const std::vector<MemoryStats> swept =
+        sweepL2(prof, l2Sets(point), {point.l2Assoc});
+    evaluateWithInto(out, swept.front(), point, backends);
 }
 
 } // namespace mech

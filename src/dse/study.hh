@@ -4,8 +4,9 @@
  * whole space" workflow (Figs. 3, 5, 9).
  *
  * Per benchmark: one trace generation, one profiling pass (capturing
- * the L2 input stream and training both Table 2 predictors), then
- * evaluation at any design point through any set of registered
+ * the L2 input stream and training both Table 2 predictors), one
+ * stack-distance pass over that stream per L2 set count (prepare()),
+ * then evaluation at any design point through any set of registered
  * EvalBackends — the analytical model at microseconds per point,
  * optionally backed by the detailed simulator or the out-of-order
  * interval model for the same point.
@@ -153,17 +154,11 @@ class DseStudy
 
     /**
      * Evaluate one design point with every backend in @p backends
-     * (default: the analytical model only).
-     */
-    PointEvaluation
-    evaluate(const DesignPoint &point,
-             const BackendSet &backends = defaultBackends());
-
-    /**
-     * Thread-safe evaluation: identical results to the non-const
-     * overload, but never mutates the study.  L2 geometries already
-     * prepare()d (or profiled) are served from the memo; others are
-     * re-derived locally on the calling thread without being cached.
+     * (default: the analytical model only).  Thread-safe: never
+     * mutates the study.  L2 geometries already prepare()d (or
+     * profiled) are served from the memo; others are re-derived on
+     * the calling thread by a one-geometry sweepL2() pass without
+     * being cached.
      */
     PointEvaluation
     evaluate(const DesignPoint &point,
@@ -171,7 +166,7 @@ class DseStudy
 
     /**
      * Thread-safe evaluation into a caller-owned result: bit-identical
-     * to the const evaluate() overload, but reuses @p out's storage
+     * to evaluate(), but reuses @p out's storage
      * instead of constructing a fresh PointEvaluation.  Sweep hot
      * loops pass a per-worker scratch (or the preassigned output
      * slot), so a model-speed evaluation performs no heap allocation
@@ -183,8 +178,11 @@ class DseStudy
 
     /**
      * Memoize MemoryStats for every distinct L2 geometry in
-     * @p points, so subsequent const evaluations are pure lookups.
-     * Call once before sharing the study read-only across threads.
+     * @p points, so subsequent evaluations are pure lookups.  The
+     * geometries not yet memoized are grouped by set count, and one
+     * sweepL2() stack-distance pass answers every associativity of a
+     * group.  The only writer of the memo: call it before sharing the
+     * study read-only across threads.
      */
     void prepare(const std::vector<DesignPoint> &points);
 
@@ -215,14 +213,11 @@ class DseStudy
     const std::string &name() const { return benchName; }
 
   private:
-    /** Memoized stats for @p point's L2 geometry, or null on miss. */
+    /**
+     * Stats for @p point's L2 geometry: the profiled ones at the
+     * default geometry, else the memo entry, or null on a miss.
+     */
     const MemoryStats *findMemo(const DesignPoint &point) const;
-
-    /** Memoized MemoryStats per L2 geometry. */
-    const MemoryStats &memoryFor(const DesignPoint &point);
-
-    /** Derive MemoryStats for @p point without touching the memo. */
-    MemoryStats computeMemory(const DesignPoint &point) const;
 
     /** Shared core of every evaluate path. */
     void evaluateWithInto(PointEvaluation &out, const MemoryStats &mem,

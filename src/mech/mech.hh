@@ -22,7 +22,6 @@
 #include "branch/profiler.hh"
 #include "cache/cache.hh"
 #include "cache/hierarchy.hh"
-#include "cache/miss_stream.hh"
 #include "cache/stack_sim.hh"
 #include "cache/tlb.hh"
 #include "characterize/characterize.hh"

@@ -12,7 +12,7 @@
  * An artifact carries the complete profiling result for one benchmark:
  * the machine-independent ProgramStats, the MemoryStats of the profiled
  * hierarchy, every trained BranchProfile, and the captured L2 input
- * stream that lets resweepL2() re-derive MemoryStats for any L2
+ * stream from which sweepL2() derives MemoryStats for any L2
  * geometry.  The dynamic trace itself is included by default so
  * trace-replaying backends ("sim") work from a loaded artifact too;
  * model-only artifacts can omit it (roughly 40x smaller).

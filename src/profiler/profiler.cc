@@ -1,8 +1,10 @@
 #include "profiler/profiler.hh"
 
+#include <algorithm>
 #include <array>
 #include <limits>
 
+#include "cache/stack_sim.hh"
 #include "common/logging.hh"
 
 namespace mech {
@@ -177,41 +179,45 @@ profileTrace(const Trace &trace, const ProfilerConfig &config)
     return out;
 }
 
-MemoryStats
-resweepL2(const WorkloadProfile &profile, const CacheConfig &l2_config)
+std::vector<MemoryStats>
+sweepL2(const WorkloadProfile &profile, std::uint64_t num_sets,
+        const std::vector<std::uint32_t> &assocs)
 {
     MECH_ASSERT(!profile.l2Stream.empty() ||
                     (profile.memory.iFetchL2Hits +
                      profile.memory.iFetchMemory +
                      profile.memory.loadL2Hits + profile.memory.loadMemory +
                      profile.memory.storeL1Misses) == 0,
-                "resweepL2 requires a profile captured with "
+                "sweepL2 requires a profile captured with "
                 "captureL2Stream=true");
 
-    MemoryStats out;
+    MemoryStats base;
     // L1/TLB statistics are unaffected by L2 geometry.
-    out.itlbMisses = profile.memory.itlbMisses;
-    out.dtlbMisses = profile.memory.dtlbMisses;
-    out.storeL1Misses = profile.memory.storeL1Misses;
+    base.itlbMisses = profile.memory.itlbMisses;
+    base.dtlbMisses = profile.memory.dtlbMisses;
+    base.storeL1Misses = profile.memory.storeL1Misses;
+    std::vector<MemoryStats> out(assocs.size(), base);
+    if (assocs.empty())
+        return out;
 
-    SetAssocCache l2(l2_config);
+    StackDistanceSimulator l2(num_sets, 64, std::ranges::max(assocs));
     for (const auto &ref : profile.l2Stream) {
-        bool hit = l2.access(ref.addr, ref.kind == L2RefKind::Store);
-        switch (ref.kind) {
-          case L2RefKind::Ifetch:
-            hit ? ++out.iFetchL2Hits : ++out.iFetchMemory;
-            break;
-          case L2RefKind::Load:
-            if (hit) {
-                ++out.loadL2Hits;
-                out.loadL2HitIdx.push_back(ref.instrIdx);
+        const std::uint64_t distance = l2.access(ref.addr);
+        // Stores never block; their allocation is already applied.
+        if (ref.kind == L2RefKind::Store)
+            continue;
+        for (std::size_t i = 0; i < assocs.size(); ++i) {
+            const bool hit = distance != 0 && distance <= assocs[i];
+            MemoryStats &mem = out[i];
+            if (ref.kind == L2RefKind::Ifetch) {
+                hit ? ++mem.iFetchL2Hits : ++mem.iFetchMemory;
+            } else if (hit) {
+                ++mem.loadL2Hits;
+                mem.loadL2HitIdx.push_back(ref.instrIdx);
             } else {
-                ++out.loadMemory;
-                out.loadMemoryIdx.push_back(ref.instrIdx);
+                ++mem.loadMemory;
+                mem.loadMemoryIdx.push_back(ref.instrIdx);
             }
-            break;
-          case L2RefKind::Store:
-            break; // stores never block; allocation already applied
         }
     }
     return out;

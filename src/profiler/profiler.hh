@@ -8,7 +8,7 @@
  * cache hierarchy and a set of branch predictors to collect the mixed
  * program-machine statistics.  Re-profiling is only needed when the
  * L1/TLB geometry changes; L2 geometry sweeps reuse the captured L2
- * stream (see resweepL2) and predictor sweeps are all collected in
+ * stream (see sweepL2) and predictor sweeps are all collected in
  * this single pass.
  */
 
@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "cache/cache.hh"
 #include "cache/hierarchy.hh"
 #include "profiler/profile_data.hh"
 #include "trace/trace.hh"
@@ -47,16 +46,22 @@ WorkloadProfile profileTrace(const Trace &trace,
                              const ProfilerConfig &config);
 
 /**
- * Re-derive MemoryStats for a different unified-L2 geometry by
- * replaying the captured L2 stream of @p profile.
+ * Re-derive MemoryStats for unified L2s of @p num_sets sets of 64 B
+ * blocks, one per associativity in @p assocs, from a single
+ * stack-distance pass (StackDistanceSimulator) over the captured L2
+ * stream of @p profile.
  *
- * L1 and TLB statistics are geometry-invariant under this sweep and
- * are copied through.
+ * Under LRU a reference hits an A-way cache exactly when its stack
+ * distance lies in [1, A], so out[i] is what replaying the stream
+ * into a cache of assocs[i] ways would count, load index vectors
+ * included.  L1 and TLB statistics are geometry-invariant under this
+ * sweep and are copied through.
  *
  * @pre profile was collected with captureL2Stream = true.
  */
-MemoryStats resweepL2(const WorkloadProfile &profile,
-                      const CacheConfig &l2_config);
+std::vector<MemoryStats> sweepL2(const WorkloadProfile &profile,
+                                 std::uint64_t num_sets,
+                                 const std::vector<std::uint32_t> &assocs);
 
 } // namespace mech
 

@@ -12,7 +12,6 @@
 
 #include "cache/cache.hh"
 #include "cache/hierarchy.hh"
-#include "cache/miss_stream.hh"
 #include "cache/stack_sim.hh"
 #include "cache/tlb.hh"
 #include "common/rng.hh"
@@ -167,14 +166,6 @@ TEST(Hierarchy, TlbMissFlagIndependentOfCache)
     EXPECT_TRUE(first.tlbMiss);
     HierAccess second = h.data(0x5008, false);
     EXPECT_FALSE(second.tlbMiss);
-}
-
-// ---- replayMisses ----------------------------------------------------------------
-
-TEST(MissStream, ReplayCountsColdMisses)
-{
-    MemRefStream stream = {{0x000, false}, {0x040, false}, {0x000, false}};
-    EXPECT_EQ(replayMisses(stream, {1024, 2, 64}), 2u);
 }
 
 // ---- StackDistanceSimulator: unit behaviour ---------------------------------------

@@ -3,7 +3,7 @@
  * Unit tests for the profiling pass: dependency-distance measurement
  * (shortest-distance rule, producer classification), miss counting
  * against the cache hierarchy, branch statistics, and the captured-L2
- * resweep equivalence property.
+ * sweep: every geometry sweepL2 derives equals a cache replay.
  */
 
 #include <gtest/gtest.h>
@@ -11,7 +11,6 @@
 #include <map>
 #include <set>
 #include <string>
-#include <utility>
 
 #include "cache/cache.hh"
 #include "dse/study.hh"
@@ -247,7 +246,8 @@ TEST(ProfilerResweep, SameGeometryReproducesCounts)
     cfg.captureL2Stream = true;
     WorkloadProfile p = profileTrace(tr, cfg);
 
-    MemoryStats redo = resweepL2(p, cfg.hierarchy.l2);
+    const CacheConfig &l2 = cfg.hierarchy.l2;
+    MemoryStats redo = sweepL2(p, l2.numSets(), {l2.assoc}).front();
     EXPECT_EQ(redo.loadL2Hits, p.memory.loadL2Hits);
     EXPECT_EQ(redo.loadMemory, p.memory.loadMemory);
     EXPECT_EQ(redo.iFetchL2Hits, p.memory.iFetchL2Hits);
@@ -267,7 +267,8 @@ TEST(ProfilerResweep, MatchesDirectProfilingAtOtherGeometry)
     WorkloadProfile captured = profileTrace(tr, base);
 
     CacheConfig small_l2{128 * 1024, 16, 64};
-    MemoryStats swept = resweepL2(captured, small_l2);
+    MemoryStats swept =
+        sweepL2(captured, small_l2.numSets(), {small_l2.assoc}).front();
 
     ProfilerConfig direct = base;
     direct.hierarchy.l2 = small_l2;
@@ -287,8 +288,8 @@ TEST(ProfilerResweep, SmallerL2MissesMore)
     cfg.captureL2Stream = true;
     WorkloadProfile p = profileTrace(tr, cfg);
 
-    MemoryStats big = resweepL2(p, {1024 * 1024, 8, 64});
-    MemoryStats small = resweepL2(p, {128 * 1024, 8, 64});
+    MemoryStats big = sweepL2(p, 2048, {8}).front();
+    MemoryStats small = sweepL2(p, 256, {8}).front();
     EXPECT_GE(small.loadMemory, big.loadMemory);
 }
 
@@ -331,18 +332,17 @@ replayL2(const WorkloadProfile &profile, const CacheConfig &l2_config)
 
 /** Every MemoryStats field, index vectors included, must match. */
 void
-expectSameMemory(const MemoryStats &got, const MemoryStats &want,
-                 const std::string &where)
+expectSameMemory(const MemoryStats &got, const MemoryStats &want)
 {
-    EXPECT_EQ(got.iFetchL2Hits, want.iFetchL2Hits) << where;
-    EXPECT_EQ(got.iFetchMemory, want.iFetchMemory) << where;
-    EXPECT_EQ(got.loadL2Hits, want.loadL2Hits) << where;
-    EXPECT_EQ(got.loadMemory, want.loadMemory) << where;
-    EXPECT_EQ(got.storeL1Misses, want.storeL1Misses) << where;
-    EXPECT_EQ(got.itlbMisses, want.itlbMisses) << where;
-    EXPECT_EQ(got.dtlbMisses, want.dtlbMisses) << where;
-    EXPECT_EQ(got.loadMemoryIdx, want.loadMemoryIdx) << where;
-    EXPECT_EQ(got.loadL2HitIdx, want.loadL2HitIdx) << where;
+    EXPECT_EQ(got.iFetchL2Hits, want.iFetchL2Hits);
+    EXPECT_EQ(got.iFetchMemory, want.iFetchMemory);
+    EXPECT_EQ(got.loadL2Hits, want.loadL2Hits);
+    EXPECT_EQ(got.loadMemory, want.loadMemory);
+    EXPECT_EQ(got.storeL1Misses, want.storeL1Misses);
+    EXPECT_EQ(got.itlbMisses, want.itlbMisses);
+    EXPECT_EQ(got.dtlbMisses, want.dtlbMisses);
+    EXPECT_EQ(got.loadMemoryIdx, want.loadMemoryIdx);
+    EXPECT_EQ(got.loadL2HitIdx, want.loadL2HitIdx);
 }
 
 TEST(L2Sweep, EveryWideGeometryMatchesACacheReplay)
@@ -366,19 +366,13 @@ TEST(L2Sweep, EveryWideGeometryMatchesACacheReplay)
         const WorkloadProfile &prof = study.profile();
         ASSERT_FALSE(prof.l2Stream.empty()) << bench.name;
         for (const auto &[sets, assocs] : by_sets) {
-            std::vector<MemoryStats> swept;
-            for (std::uint32_t assoc : assocs) {
-                swept.push_back(resweepL2(
-                    prof, {sets * assoc * 64, assoc, 64}));
-            }
+            std::vector<MemoryStats> swept = sweepL2(prof, sets, assocs);
             ASSERT_EQ(swept.size(), assocs.size());
             for (std::size_t i = 0; i < assocs.size(); ++i) {
-                const CacheConfig cfg{sets * assocs[i] * 64, assocs[i],
-                                      64};
-                expectSameMemory(swept[i], replayL2(prof, cfg),
-                                 bench.name + " l2kb=" +
-                                     std::to_string(cfg.sizeBytes / 1024) +
-                                     ",assoc=" + std::to_string(assocs[i]));
+                SCOPED_TRACE(bench.name + " sets=" + std::to_string(sets) +
+                             " assoc=" + std::to_string(assocs[i]));
+                const CacheConfig cfg{sets * assocs[i] * 64, assocs[i], 64};
+                expectSameMemory(swept[i], replayL2(prof, cfg));
             }
         }
     }
@@ -401,7 +395,7 @@ TEST(L2Sweep, FullyAssociativeMissesOnlyOnFirstTouch)
     ASSERT_LT(seen.size(), std::size_t{1} << 20);
     ASSERT_GT(first_touches, 0u);
 
-    MemoryStats mem = resweepL2(prof, {65536ull * 1024, 1u << 20, 64});
+    MemoryStats mem = sweepL2(prof, 1, {1u << 20}).front();
     EXPECT_EQ(mem.iFetchMemory + mem.loadMemory, first_touches);
     EXPECT_EQ(mem.iFetchL2Hits + mem.iFetchMemory + mem.loadL2Hits +
                   mem.loadMemory + mem.storeL1Misses,
@@ -421,8 +415,7 @@ TEST(L2Sweep, PreparedStudyMatchesUnpreparedAtEveryWideGeometry)
         prepared.prepare(geoms);
         const DseStudy fresh(profileByName(name), 20000);
         for (const DesignPoint &p : geoms) {
-            const PointEvaluation a =
-                std::as_const(prepared).evaluate(p, backends);
+            const PointEvaluation a = prepared.evaluate(p, backends);
             const PointEvaluation b = fresh.evaluate(p, backends);
             ASSERT_EQ(a.results.size(), b.results.size());
             for (std::size_t i = 0; i < a.results.size(); ++i) {
