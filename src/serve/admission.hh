@@ -11,7 +11,10 @@
  * starve the rest.  offer() returning false means the line was *shed*:
  * the caller answers it immediately with a structured
  * `{"type": "error", "code": "overloaded"}` response and the request
- * never reaches the EvalService.  Control requests (info, stats,
+ * never reaches the EvalService.  Shed answers are out of band: one
+ * refused at ingest is written ahead of the answers to the session's
+ * earlier admitted lines, and a data line shed behind the session's
+ * own shutdown is still answered (clients match them by "id").  Control requests (info, stats,
  * shutdown) are never shed — callers force() them past the bounds, so
  * a monitoring client can always read stats from an overloaded server
  * and a shutdown can always get through.
@@ -20,9 +23,9 @@
  * round-robin ring; nextBatch() pops the head session's oldest lines
  * (up to maxBatch) and marks the session in-flight until the
  * dispatcher calls completed().  At most one batch per session is ever
- * in flight, which is what keeps every session's responses in its own
- * request order no matter how many dispatchers run — the per-session
- * byte-identity contract of the protocol depends on it.
+ * in flight, which is what keeps every session's admitted responses in
+ * its own request order no matter how many dispatchers run — the
+ * per-session byte-identity contract of the protocol depends on it.
  *
  * holdDispatch() is a testing knob (mech_serve --dispatch-hold-ms):
  * while held, nextBatch() blocks, so a replayed flood sheds against a

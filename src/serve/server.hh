@@ -19,14 +19,19 @@
  * contract holds at any thread or dispatcher count.  Requests beyond
  * the admission bounds are shed with structured
  * `{"type": "error", "code": "overloaded"}` responses; control
- * requests (info/stats/shutdown) are never shed.
+ * requests (info/stats/shutdown) are never shed.  Shed answers are
+ * out of band: the I/O thread writes one at ingest, ahead of the
+ * answers to that session's earlier admitted lines, and a data line
+ * shed behind the session's own shutdown is still answered.  Only
+ * admitted lines keep request order.
  *
  * Graceful drain: a client "shutdown" request answers its final "bye"
  * accounting line, then the server stops accepting, the dispatchers
  * finish every admitted request, write buffers flush, and the process
- * exits.  As on stdio, the lines a session sent after its own
- * shutdown are never answered.  SIGINT/SIGTERM take the same path, so an operator's Ctrl-C
- * never kills a request mid-evaluation.
+ * exits.  As on stdio, the admitted lines a session sent after its
+ * own shutdown are never answered.  SIGINT/SIGTERM take the same
+ * path, so an operator's Ctrl-C never kills a request
+ * mid-evaluation.
  */
 
 #ifndef MECH_SERVE_SERVER_HH
