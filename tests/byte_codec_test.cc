@@ -1,7 +1,8 @@
 /**
  * @file
- * Tests for the shared byte codec (common/byte_codec.hh) and a seeded
- * mutation test over both binary artifact decoders built on it.
+ * Tests for the shared byte codec (common/byte_codec.hh) and seeded
+ * mutation tests over both binary artifact decoders built on it and
+ * over the `.mdesc` text parser.
  *
  * The mutation test starts from the committed fixtures (tests/data)
  * and derives every input by flipping bytes, stamping a forged
@@ -13,6 +14,12 @@
  * or make one allocation out of proportion to its input.  Seeds and
  * iteration counts are fixed, so any failure reproduces exactly; the
  * sanitizer builds run the same loop under ASan+UBSan.
+ *
+ * The `.mdesc` test mutates the canonical text of the built-in
+ * machine description, with and without its throughput table, by
+ * byte flips, truncations, splices and digit edits.  parseMdesc must
+ * return or throw MdescError, and an accepted mutant must survive
+ * writeMdesc -> parseMdesc unchanged.
  */
 
 #include <algorithm>
@@ -29,8 +36,10 @@
 
 #include <gtest/gtest.h>
 
+#include "characterize/mdesc.hh"
 #include "common/byte_codec.hh"
 #include "common/rng.hh"
+#include "dse/design_space.hh"
 #include "profiler/profile_io.hh"
 #include "search/cache_io.hh"
 #include "search/eval_cache.hh"
@@ -285,6 +294,108 @@ TEST(CodecMutation, DecodersAcceptOrRejectEveryMutantCleanly)
     EXPECT_GT(profile_rejected, 0u);
     EXPECT_GT(cache_ok, 0u);
     EXPECT_GT(cache_rejected, 0u);
+}
+
+// ---- seeded mutation of the .mdesc parser -------------------------------------------
+
+/** @p text with one to three edits at its digits. */
+std::string
+editDigits(Rng &rng, std::string text)
+{
+    std::vector<std::size_t> digits;
+    for (std::size_t i = 0; i < text.size(); ++i) {
+        if (text[i] >= '0' && text[i] <= '9')
+            digits.push_back(i);
+    }
+    const std::uint64_t edits = 1 + rng.below(3);
+    for (std::uint64_t e = 0; e < edits && !digits.empty(); ++e) {
+        const std::size_t at = digits[rng.below(digits.size())];
+        const char digit = static_cast<char>('0' + rng.below(10));
+        switch (rng.below(4)) {
+        case 0:
+            text[at] = digit;
+            break;
+        case 1:
+            // Lengthen the number; after edits shift positions this
+            // may land beside any character, which is fine.
+            text.insert(at, 1, digit);
+            break;
+        case 2:
+            text.erase(at, 1);
+            break;
+        default:
+            text[at] = "-.e+"[rng.below(4)];
+            break;
+        }
+    }
+    return text;
+}
+
+TEST(CodecMutation, MdescParserAcceptsOrRejectsEveryMutantCleanly)
+{
+    MachineDescription builtin;
+    builtin.machine = machineFor(defaultDesignPoint());
+    builtin.sourceBackend = "sim";
+    builtin.sourcePoint = defaultDesignPoint().toKey();
+    MachineDescription measured = builtin;
+    measured.hasThroughput = true;
+    for (std::size_t i = 0; i < kNumOpClasses; ++i)
+        measured.throughput[i] = 1.0 / static_cast<double>(i + 1);
+    const std::vector<std::string> texts = {writeMdesc(builtin),
+                                            writeMdesc(measured)};
+
+    std::size_t accepted = 0, rejected = 0;
+    for (std::uint64_t seed : kSeeds) {
+        Rng rng(seed);
+        for (int i = 0; i < kIterationsPerSeed; ++i) {
+            std::string input = texts[rng.below(texts.size())];
+            switch (rng.below(4)) {
+            case 0: {
+                const std::uint64_t flips = 1 + rng.below(4);
+                for (std::uint64_t f = 0; f < flips; ++f) {
+                    input[rng.below(input.size())] ^=
+                        static_cast<char>(1 + rng.below(255));
+                }
+                break;
+            }
+            case 1:
+                input.resize(rng.below(input.size()));
+                break;
+            case 2: {
+                const std::string &other = texts[rng.below(texts.size())];
+                input = input.substr(0, rng.below(input.size() + 1)) +
+                        other.substr(rng.below(other.size() + 1));
+                break;
+            }
+            default:
+                input = editDigits(rng, std::move(input));
+                break;
+            }
+            SCOPED_TRACE("seed " + std::to_string(seed) + " iteration " +
+                         std::to_string(i));
+
+            MachineDescription parsed;
+            try {
+                parsed = parseMdesc(input);
+            } catch (const MdescError &) {
+                ++rejected;
+                continue;
+            } catch (const std::exception &e) {
+                ADD_FAILURE() << "parseMdesc threw '" << e.what() << "'";
+                continue;
+            }
+            ++accepted;
+            try {
+                EXPECT_EQ(parseMdesc(writeMdesc(parsed)), parsed);
+            } catch (const std::exception &e) {
+                ADD_FAILURE() << "re-written mutant rejected: " << e.what();
+            }
+        }
+    }
+
+    // Both outcomes occur: digit edits leave many mutants valid.
+    EXPECT_GT(accepted, 0u);
+    EXPECT_GT(rejected, 0u);
 }
 
 } // namespace
