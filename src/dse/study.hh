@@ -166,8 +166,8 @@ class DseStudy
 
     /**
      * Thread-safe evaluation into a caller-owned result: bit-identical
-     * to evaluate(), but reuses @p out's storage
-     * instead of constructing a fresh PointEvaluation.  Sweep hot
+     * to evaluate(), but reuses @p out's storage instead of
+     * constructing a fresh PointEvaluation.  Sweep hot
      * loops pass a per-worker scratch (or the preassigned output
      * slot), so a model-speed evaluation performs no heap allocation
      * once the scratch has warmed up.
