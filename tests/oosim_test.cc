@@ -11,11 +11,17 @@
  */
 
 #include <algorithm>
+#include <array>
+#include <cstdio>
+#include <cstdlib>
 #include <random>
 #include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/rng.hh"
 #include "test_util.hh"
 
 namespace mech {
@@ -478,6 +484,258 @@ TEST(OoOGolden, IntervalModelTracksCycleAccurateSimulator)
     EXPECT_LT(mean_err, 0.15) << "mean CPI error over " << samples
                               << " samples";
     EXPECT_LT(max_err, 0.40);
+}
+
+// ---- golden OoOSimResult snapshot ------------------------------------------
+//
+// Every OoOSimResult field over a seeded sweep: each MiBench profile,
+// plus the memory-bound mcf and bzip2 from the SPEC-like suite, at
+// three Table 2 points drawn from a fixed-seed Rng, each with seeded
+// out-of-order structures inside the space bounds; the third run of
+// every benchmark turns on one idealization knob (rotating per
+// benchmark).  Any change to how the pipeline advances time, fetches
+// or prices a memory access must leave this table untouched.
+//
+// Regenerating after an *intentional* simulator change:
+//
+//     MECH_GOLDEN_REGEN=1 ./oosim_test --gtest_filter='OoOSimGolden.*'
+
+constexpr InstCount kOoOGoldenLen = 20000;
+constexpr int kOoOGoldenPointsPerBench = 3;
+
+/** Every OoOSimResult field, in the golden table's column order. */
+constexpr const char *kOoOGoldenNames[] = {
+    "cycles",
+    "retired",
+    "fetchMissStallCycles",
+    "takenBubbleCycles",
+    "mispredictStallCycles",
+    "robStallCycles",
+    "iqStallCycles",
+    "fuStallEvents",
+    "busStallEvents",
+    "mispredicts",
+    "predictedTakenCorrect",
+    "maxRobOccupancy",
+    "maxIqOccupancy",
+};
+constexpr std::size_t kNumOoOGoldenFields = std::size(kOoOGoldenNames);
+
+std::array<std::uint64_t, kNumOoOGoldenFields>
+oooGoldenFields(const OoOSimResult &r)
+{
+    return {r.cycles,
+            r.retired,
+            r.fetchMissStallCycles,
+            r.takenBubbleCycles,
+            r.mispredictStallCycles,
+            r.robStallCycles,
+            r.iqStallCycles,
+            r.fuStallEvents,
+            r.busStallEvents,
+            r.mispredicts,
+            r.predictedTakenCorrect,
+            r.maxRobOccupancy,
+            r.maxIqOccupancy};
+}
+
+/** Seeded out-of-order structures, every axis inside SpaceSpec's bounds. */
+OooParams
+seededOooParams(Rng &rng)
+{
+    OooParams p;
+    p.robSize = 4u << rng.below(9);  // 4 .. 1024
+    p.iqSize = 2u << rng.below(8);   // 2 .. 256
+    p.fuAlu = 1 + static_cast<std::uint32_t>(rng.below(4));
+    p.fuMul = 1 + static_cast<std::uint32_t>(rng.below(2));
+    p.fuMem = 1 + static_cast<std::uint32_t>(rng.below(3));
+    p.fuBr = 1 + static_cast<std::uint32_t>(rng.below(2));
+    p.resultBuses = 1 + static_cast<std::uint32_t>(rng.below(8));
+    return p;
+}
+
+/** One run of the sweep; rows follow the sweep's benchmark order. */
+struct OoOGoldenRow
+{
+    std::uint32_t point; ///< table2Space() index
+    std::uint32_t knob;  ///< 0 none, 1 icache, 2 dcache, 3 tlbs perfect
+    OooParams ooo;
+    std::uint64_t fields[kNumOoOGoldenFields];
+};
+
+struct OoOGoldenRun
+{
+    std::string bench;
+    std::uint32_t point = 0;
+    std::uint32_t knob = 0;
+    OooParams ooo;
+    OoOSimResult res;
+};
+
+std::vector<OoOGoldenRun>
+runOoOGoldenSweep()
+{
+    std::vector<BenchmarkProfile> benches = mibenchSuite();
+    for (const BenchmarkProfile &profile : specLikeSuite()) {
+        if (profile.name == "mcf" || profile.name == "bzip2")
+            benches.push_back(profile);
+    }
+    const std::vector<DesignPoint> space = table2Space();
+    Rng rng(0x00051a7e5eedull);
+    std::vector<OoOGoldenRun> runs;
+    std::uint32_t b = 0;
+    for (const BenchmarkProfile &profile : benches) {
+        const Trace tr = generateTrace(profile, kOoOGoldenLen);
+        for (int i = 0; i < kOoOGoldenPointsPerBench; ++i) {
+            OoOGoldenRun run;
+            run.bench = profile.name;
+            run.point = static_cast<std::uint32_t>(rng.below(space.size()));
+            run.knob = i + 1 == kOoOGoldenPointsPerBench ? 1 + b % 3 : 0;
+            run.ooo = seededOooParams(rng);
+            DesignPoint point = space[run.point];
+            point.ooo = run.ooo;
+            OoOSimConfig cfg = oooSimConfigFor(point);
+            cfg.core.perfectICache = run.knob == 1;
+            cfg.core.perfectDCache = run.knob == 2;
+            cfg.core.perfectTlbs = run.knob == 3;
+            run.res = simulateOutOfOrder(tr, cfg);
+            runs.push_back(std::move(run));
+        }
+        ++b;
+    }
+    return runs;
+}
+
+// Snapshot generated with MECH_GOLDEN_REGEN=1 (see above).
+const OoOGoldenRow kOoOGolden[] = {
+    // adpcm_c
+    {37, 0, {128, 2, 4, 2, 3, 2, 2}, {13842, 20029, 354, 840, 1616, 0, 11890, 0, 0, 242, 841, 6, 2}},
+    {191, 0, {1024, 256, 3, 2, 3, 1, 7}, {8411, 20029, 444, 840, 1616, 0, 0, 2627, 0, 242, 841, 50, 24}},
+    {55, 1, {4, 64, 4, 1, 3, 1, 1}, {20784, 20029, 0, 840, 2223, 19268, 0, 169, 10709, 242, 841, 4, 4}},
+    // adpcm_d
+    {4, 0, {512, 8, 1, 2, 1, 1, 6}, {18992, 20006, 223, 1349, 6866, 0, 6209, 16671, 0, 1100, 1349, 54, 8}},
+    {56, 0, {64, 128, 3, 1, 1, 1, 6}, {29122, 20006, 299, 1349, 6358, 0, 0, 1, 0, 1100, 1349, 53, 8}},
+    {176, 2, {256, 128, 2, 1, 2, 1, 3}, {27160, 20006, 299, 1349, 4396, 0, 0, 0, 0, 1100, 1349, 3, 1}},
+    // dijkstra
+    {106, 0, {32, 32, 2, 1, 2, 2, 1}, {24721, 20009, 409, 915, 3259, 14439, 0, 463, 117993, 166, 916, 32, 26}},
+    {72, 0, {4, 16, 2, 2, 3, 1, 2}, {35479, 20009, 305, 915, 334, 13976, 0, 0, 0, 166, 916, 4, 3}},
+    {98, 3, {256, 64, 3, 1, 1, 2, 2}, {12236, 20009, 287, 915, 486, 0, 0, 762, 8056, 166, 916, 88, 30}},
+    // gsm_c
+    {189, 0, {32, 16, 3, 2, 3, 1, 2}, {18299, 20028, 2652, 406, 3660, 5560, 1494, 146, 39563, 223, 407, 32, 16}},
+    {94, 0, {32, 4, 3, 1, 1, 1, 3}, {20427, 20028, 2652, 403, 5728, 2396, 13010, 2275, 487, 225, 404, 32, 4}},
+    {153, 1, {128, 128, 4, 2, 3, 1, 5}, {21660, 20028, 0, 406, 994, 0, 0, 1, 0, 223, 407, 81, 24}},
+    // jpeg_c
+    {91, 0, {64, 4, 1, 2, 1, 2, 2}, {30861, 20027, 10164, 104, 1594, 1127, 12524, 13378, 345, 130, 105, 64, 4}},
+    {16, 0, {512, 8, 4, 2, 1, 1, 6}, {33665, 20027, 10164, 106, 856, 0, 2272, 38, 0, 132, 107, 102, 8}},
+    {85, 2, {256, 16, 3, 2, 3, 1, 7}, {15947, 20027, 8102, 104, 679, 0, 102, 800, 0, 130, 105, 43, 16}},
+    // jpeg_d
+    {71, 0, {4, 8, 1, 1, 1, 1, 5}, {30379, 20000, 10578, 138, 3014, 19333, 0, 4379, 0, 129, 139, 4, 4}},
+    {62, 0, {16, 256, 3, 2, 3, 1, 7}, {17600, 20000, 8432, 139, 1024, 4366, 0, 629, 0, 128, 140, 16, 13}},
+    {100, 3, {16, 32, 3, 2, 2, 2, 4}, {15061, 20000, 6232, 139, 425, 1890, 0, 454, 180, 128, 140, 16, 13}},
+    // lame
+    {104, 0, {1024, 128, 4, 2, 2, 1, 7}, {27548, 20052, 6483, 109, 564, 0, 0, 0, 0, 135, 110, 85, 18}},
+    {82, 0, {256, 128, 4, 1, 3, 2, 3}, {17689, 20052, 6483, 109, 659, 0, 0, 937, 1198, 135, 110, 182, 31}},
+    {86, 1, {1024, 128, 4, 2, 3, 1, 7}, {6156, 20052, 0, 109, 695, 0, 0, 1003, 23, 135, 110, 364, 46}},
+    // patricia
+    {172, 0, {16, 128, 3, 2, 1, 2, 8}, {29678, 20021, 510, 2077, 10525, 12255, 0, 980, 0, 1351, 2078, 16, 12}},
+    {118, 0, {32, 256, 1, 1, 1, 2, 4}, {36885, 20021, 858, 2077, 22425, 12298, 0, 23848, 0, 1351, 2078, 32, 25}},
+    {155, 2, {32, 64, 3, 2, 1, 2, 3}, {20547, 20021, 684, 2095, 5362, 0, 0, 437, 7, 1283, 2096, 9, 4}},
+    // qsort
+    {76, 0, {32, 64, 1, 2, 1, 1, 2}, {23891, 20026, 469, 1594, 8311, 7159, 0, 21584, 1197, 917, 1595, 32, 25}},
+    {33, 0, {4, 16, 4, 2, 2, 2, 5}, {57710, 20026, 629, 1605, 15060, 28842, 0, 0, 0, 898, 1606, 4, 3}},
+    {95, 3, {256, 8, 1, 2, 2, 1, 7}, {24629, 20026, 759, 1605, 13998, 0, 7188, 14900, 0, 898, 1606, 123, 8}},
+    // rsynth
+    {70, 0, {64, 2, 2, 2, 1, 1, 1}, {30311, 20120, 3963, 157, 2808, 0, 26221, 197, 11946, 84, 157, 14, 2}},
+    {109, 0, {16, 64, 1, 1, 2, 2, 2}, {19655, 20120, 3159, 157, 974, 11263, 0, 8148, 1460, 86, 157, 16, 15}},
+    {77, 1, {512, 4, 1, 1, 2, 2, 5}, {16332, 20120, 0, 157, 532, 0, 14913, 5968, 0, 86, 157, 34, 4}},
+    // sha
+    {57, 0, {4, 32, 3, 2, 3, 1, 6}, {22695, 20039, 629, 266, 64, 1696, 0, 0, 0, 16, 267, 4, 1}},
+    {5, 0, {512, 2, 3, 1, 3, 1, 2}, {11963, 20039, 469, 266, 67, 0, 11418, 7, 0, 16, 267, 23, 2}},
+    {93, 2, {1024, 4, 4, 1, 1, 2, 2}, {11052, 20039, 789, 266, 165, 0, 6572, 1047, 15798, 16, 267, 15, 4}},
+    // stringsearch
+    {82, 0, {4, 2, 3, 2, 3, 1, 3}, {34206, 20014, 464, 1998, 9820, 19506, 519, 382, 0, 1142, 1999, 4, 2}},
+    {134, 0, {128, 8, 4, 2, 1, 2, 3}, {16538, 20014, 464, 1998, 6123, 45, 1274, 4410, 2583, 1142, 1999, 128, 8}},
+    {35, 3, {512, 64, 1, 2, 3, 1, 2}, {19320, 20014, 440, 2050, 4847, 0, 0, 6241, 2634, 1016, 2051, 100, 16}},
+    // susan_c
+    {152, 0, {128, 64, 3, 2, 2, 2, 6}, {23145, 20082, 1509, 453, 896, 0, 0, 0, 0, 163, 454, 81, 9}},
+    {141, 0, {512, 256, 3, 1, 2, 2, 4}, {10924, 20082, 1893, 454, 1466, 0, 0, 899, 800, 163, 455, 230, 25}},
+    {35, 1, {1024, 8, 4, 1, 2, 2, 2}, {12487, 20082, 0, 454, 1137, 0, 1104, 75, 12081, 163, 455, 131, 8}},
+    // susan_e
+    {187, 0, {256, 16, 4, 1, 3, 2, 1}, {23237, 20026, 1893, 499, 6470, 0, 6878, 0, 136799, 230, 500, 113, 16}},
+    {181, 0, {128, 64, 1, 2, 1, 2, 5}, {15298, 20026, 1509, 499, 4189, 153, 4438, 156436, 0, 230, 500, 128, 64}},
+    {111, 2, {64, 4, 1, 2, 3, 1, 1}, {22945, 20026, 1509, 499, 4916, 0, 18646, 6168, 46831, 230, 500, 15, 4}},
+    // susan_s
+    {16, 0, {64, 64, 1, 2, 2, 2, 4}, {23281, 20050, 1272, 265, 87, 1653, 0, 6003, 0, 14, 266, 64, 29}},
+    {61, 0, {512, 8, 2, 2, 2, 2, 4}, {21098, 20050, 1014, 265, 123, 0, 15690, 6269, 206, 14, 266, 54, 8}},
+    {191, 3, {512, 2, 2, 2, 1, 1, 2}, {30036, 20050, 1242, 265, 304, 0, 28767, 479, 610, 14, 266, 47, 2}},
+    // tiff2bw
+    {78, 0, {1024, 256, 1, 2, 2, 2, 5}, {13048, 20006, 264, 523, 223, 0, 11742, 590934, 0, 13, 524, 330, 256}},
+    {92, 0, {256, 256, 2, 1, 1, 1, 8}, {7800, 20006, 444, 523, 81, 0, 0, 7470, 0, 13, 524, 211, 27}},
+    {39, 1, {32, 8, 1, 2, 3, 2, 2}, {15809, 20006, 0, 523, 174, 1300, 14301, 13651, 1784, 13, 524, 32, 8}},
+    // tiff2rgba
+    {60, 0, {256, 64, 3, 2, 3, 1, 5}, {7992, 20031, 464, 546, 9, 0, 0, 0, 0, 2, 547, 153, 6}},
+    {96, 0, {256, 4, 3, 1, 2, 2, 4}, {20941, 20031, 346, 546, 4, 0, 0, 0, 0, 2, 547, 43, 2}},
+    {27, 2, {8, 8, 2, 2, 2, 1, 8}, {11201, 20031, 346, 546, 5, 37, 0, 510, 0, 2, 547, 8, 4}},
+    // tiffdither
+    {72, 0, {16, 128, 1, 1, 2, 1, 6}, {28073, 20053, 469, 824, 1009, 5470, 0, 655, 0, 446, 825, 16, 4}},
+    {24, 0, {1024, 16, 3, 2, 2, 2, 5}, {22699, 20053, 469, 824, 892, 0, 0, 3, 0, 446, 825, 60, 6}},
+    {52, 3, {1024, 128, 1, 2, 1, 2, 3}, {12827, 20053, 451, 824, 2812, 0, 3058, 181735, 247, 446, 825, 186, 128}},
+    // tiffmedian
+    {7, 0, {16, 2, 1, 1, 1, 1, 5}, {34371, 20033, 551, 927, 6778, 13287, 18502, 5082, 0, 454, 928, 16, 2}},
+    {37, 0, {8, 16, 1, 1, 2, 2, 7}, {45274, 20033, 739, 927, 10441, 38623, 0, 10580, 0, 454, 928, 8, 6}},
+    {34, 1, {256, 4, 3, 2, 2, 2, 3}, {17456, 20033, 0, 913, 3592, 0, 4763, 138, 86, 482, 914, 126, 4}},
+    // mcf
+    {118, 0, {64, 8, 3, 2, 1, 2, 4}, {42672, 20006, 651, 1469, 22480, 16245, 15036, 597, 48, 792, 1470, 64, 8}},
+    {14, 0, {256, 32, 4, 2, 1, 2, 7}, {14517, 20006, 519, 1469, 4893, 87, 1448, 1184, 0, 792, 1470, 256, 32}},
+    {55, 2, {32, 16, 4, 1, 2, 1, 7}, {10978, 20006, 387, 1472, 2215, 40, 0, 497, 0, 793, 1473, 32, 14}},
+    // bzip2
+    {115, 0, {8, 256, 4, 1, 1, 1, 2}, {131831, 20002, 1065, 819, 35328, 115910, 0, 1295, 977, 356, 820, 8, 6}},
+    {120, 0, {128, 64, 1, 1, 2, 2, 4}, {24888, 20002, 633, 817, 3003, 0, 0, 4211, 0, 358, 818, 62, 21}},
+    {169, 3, {16, 8, 2, 2, 1, 2, 1}, {45412, 20002, 615, 819, 2910, 21364, 7, 51, 8848, 356, 820, 16, 8}},
+};
+
+TEST(OoOSimGolden, EveryFieldMatchesSnapshotOverSeededSweep)
+{
+    const std::vector<OoOGoldenRun> runs = runOoOGoldenSweep();
+
+    if (std::getenv("MECH_GOLDEN_REGEN")) {
+        std::printf("const OoOGoldenRow kOoOGolden[] = {\n");
+        for (std::size_t i = 0; i < runs.size(); ++i) {
+            const OoOGoldenRun &r = runs[i];
+            if (i % kOoOGoldenPointsPerBench == 0)
+                std::printf("    // %s\n", r.bench.c_str());
+            std::printf("    {%u, %u, {%u, %u, %u, %u, %u, %u, %u}, {",
+                        r.point, r.knob, r.ooo.robSize, r.ooo.iqSize,
+                        r.ooo.fuAlu, r.ooo.fuMul, r.ooo.fuMem, r.ooo.fuBr,
+                        r.ooo.resultBuses);
+            const auto fields = oooGoldenFields(r.res);
+            for (std::size_t f = 0; f < kNumOoOGoldenFields; ++f) {
+                std::printf("%s%llu", f ? ", " : "",
+                            static_cast<unsigned long long>(fields[f]));
+            }
+            std::printf("}},\n");
+        }
+        std::printf("};\n");
+        GTEST_SKIP() << "regeneration mode: table printed, not checked";
+    }
+
+    ASSERT_EQ(runs.size(), std::size(kOoOGolden))
+        << "golden table out of date; regenerate with MECH_GOLDEN_REGEN=1";
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+        const OoOGoldenRun &got = runs[i];
+        const OoOGoldenRow &want = kOoOGolden[i];
+        const std::string where = got.bench + " point " +
+                                  std::to_string(got.point) + " knob " +
+                                  std::to_string(got.knob);
+        ASSERT_EQ(got.point, want.point) << where;
+        ASSERT_EQ(got.knob, want.knob) << where;
+        ASSERT_EQ(got.ooo, want.ooo) << where;
+        const auto fields = oooGoldenFields(got.res);
+        for (std::size_t f = 0; f < kNumOoOGoldenFields; ++f) {
+            EXPECT_EQ(fields[f], want.fields[f])
+                << where << ": " << kOoOGoldenNames[f];
+        }
+    }
 }
 
 } // namespace
