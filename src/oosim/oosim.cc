@@ -6,14 +6,11 @@
 #include <limits>
 #include <vector>
 
-#include "common/logging.hh"
+#include "sim/core_shell.hh"
 
 namespace mech {
 
 namespace {
-
-/** Sentinel "not known yet" cycle. */
-constexpr Cycles kUnknown = std::numeric_limits<Cycles>::max();
 
 /** Sentinel "no pending producer" tag. */
 constexpr std::uint64_t kNoTag = std::numeric_limits<std::uint64_t>::max();
@@ -76,19 +73,16 @@ struct Inflight
  * dispatched in cycle t cannot be selected before t+1 and completed
  * instructions retire no earlier than the cycle after writeback.
  */
-class OoOPipeline
+class OoOPipeline : CoreShell<OoOSimResult>
 {
   public:
     OoOPipeline(const Trace &trace, const OoOSimConfig &config)
-        : trace(trace), cfg(config), machine(config.core.machine),
-          ooo(config.ooo), hier(config.core.hierarchy),
-          predictor(makePredictor(config.core.predictor)),
+        : CoreShell(trace, config.core), ooo(config.ooo),
           feDelay(config.core.machine.frontendDepth - 1),
           feCapacity(static_cast<std::size_t>(
                          config.core.machine.frontendDepth) *
                      config.core.machine.width)
     {
-        machine.validate();
         if (ooo.robSize < 1 || ooo.iqSize < 1)
             fatal("out-of-order core needs a ROB and an issue queue "
                   "(rob=", ooo.robSize, ", iq=", ooo.iqSize, ")");
@@ -115,45 +109,8 @@ class OoOPipeline
     void writeback(Cycles t);
     void select(Cycles t);
     void dispatch(Cycles t);
-    void fetch(Cycles t);
 
-    /**
-     * Probe the data side and return the service latency of @p di.
-     *
-     * Called at dispatch, in program order, so the miss stream is
-     * deterministic and matches the profiler's; the latency applies
-     * when the access later issues, letting misses overlap in the
-     * window.  Stores probe for state only (ideal store buffer).
-     */
-    Cycles
-    memLatency(const DynInstr &di)
-    {
-        if (di.op == OpClass::Store) {
-            if (!cfg.core.perfectDCache)
-                (void)hier.data(di.effAddr, true);
-            return 1;
-        }
-        if (cfg.core.perfectDCache)
-            return machine.dl1HitCycles;
-        HierAccess acc = hier.data(di.effAddr, false);
-        if (cfg.core.perfectTlbs)
-            acc.tlbMiss = false;
-        Cycles lat = machine.dl1HitCycles;
-        if (acc.level == MemLevel::L2)
-            lat = machine.l2HitCycles;
-        else if (acc.level == MemLevel::Memory)
-            lat = machine.l2HitCycles + machine.memCycles;
-        if (acc.tlbMiss)
-            lat += machine.tlbMissCycles;
-        return lat;
-    }
-
-    const Trace &trace;
-    OoOSimConfig cfg;
-    MachineParams machine;
     OooParams ooo;
-    CacheHierarchy hier;
-    std::unique_ptr<BranchPredictor> predictor;
 
     /** Fetch-to-dispatch pipeline delay (front end minus dispatch). */
     const Cycles feDelay;
@@ -185,24 +142,7 @@ class OoOPipeline
     /** Scratch: inflight indices completing this cycle. */
     std::vector<std::size_t> doneScratch;
 
-    std::uint64_t nextFetchIdx = 0;
     std::uint64_t retired = 0;
-
-    /** Last trace index probed against the instruction side. */
-    std::uint64_t probedFetchIdx = kUnknown;
-
-    /** Fetch stalled until this cycle (miss / taken bubble). */
-    Cycles fetchReadyAt = 0;
-
-    /** Trace index of an unresolved mispredicted branch, if any. */
-    std::uint64_t pendingRedirectIdx = kUnknown;
-
-    /** Diagnostics. */
-    OoOSimResult stats;
-
-    /** Cause of the current fetch stall (diagnostics only). */
-    enum class FetchStall : std::uint8_t { None, Miss, TakenBubble };
-    FetchStall fetchStallCause = FetchStall::None;
 };
 
 void
@@ -258,13 +198,9 @@ OoOPipeline::writeback(Cycles t)
                 e.src2Tag = kNoTag;
         }
 
-        // Misprediction resolves at writeback: the front end restarts
-        // on the correct path next cycle.
-        if (idx == pendingRedirectIdx) {
-            fetchReadyAt = t + 1;
-            pendingRedirectIdx = kUnknown;
-            fetchStallCause = FetchStall::None;
-        }
+        // A misprediction resolves at writeback: the front end
+        // restarts on the correct path next cycle.
+        redirect(idx, t + 1);
     }
 
     // Free the granted in-flight slots.  Swap-and-pop must run in
@@ -322,7 +258,10 @@ OoOPipeline::dispatch(Cycles t)
         RsEntry entry;
         entry.idx = idx;
         entry.fu = fuTypeOf(di.op);
-        entry.lat = entry.fu == FuType::Mem ? memLatency(di)
+        // The data side is probed here, in program order, so the miss
+        // stream matches the profiler's; the latency applies when the
+        // access later issues, letting misses overlap in the window.
+        entry.lat = entry.fu == FuType::Mem ? memService(di).cycles
                                             : machine.execLatency(di.op);
         // Source tags read the rename state *before* this
         // instruction's own destination claim (WAR-safe).
@@ -352,102 +291,25 @@ OoOPipeline::dispatch(Cycles t)
 }
 
 void
-OoOPipeline::fetch(Cycles t)
-{
-    if (nextFetchIdx >= trace.size())
-        return;
-
-    if (pendingRedirectIdx != kUnknown) {
-        ++stats.mispredictStallCycles;
-        return;
-    }
-    if (fetchReadyAt > t) {
-        if (fetchStallCause == FetchStall::Miss)
-            ++stats.fetchMissStallCycles;
-        else if (fetchStallCause == FetchStall::TakenBubble)
-            ++stats.takenBubbleCycles;
-        return;
-    }
-    fetchStallCause = FetchStall::None;
-
-    std::uint32_t fetched = 0;
-    while (fetched < machine.width && frontEnd.size() < feCapacity &&
-           nextFetchIdx < trace.size()) {
-        const DynInstr &di = trace[nextFetchIdx];
-
-        // Probe the instruction side exactly once per instruction (the
-        // profiler sees the very same access stream).  On a miss the
-        // instruction is NOT consumed: it waits for its line, while
-        // anything fetched earlier this cycle proceeds down the pipe.
-        if (nextFetchIdx != probedFetchIdx && !cfg.core.perfectICache) {
-            HierAccess acc = hier.fetch(di.pc);
-            probedFetchIdx = nextFetchIdx;
-
-            Cycles stall = 0;
-            if (acc.level == MemLevel::L2)
-                stall += machine.l2HitCycles;
-            else if (acc.level == MemLevel::Memory)
-                stall += machine.l2HitCycles + machine.memCycles;
-            if (acc.tlbMiss && !cfg.core.perfectTlbs)
-                stall += machine.tlbMissCycles;
-
-            if (stall > 0) {
-                fetchReadyAt = t + stall;
-                fetchStallCause = FetchStall::Miss;
-                break;
-            }
-        }
-
-        frontEnd.push_back({nextFetchIdx, t + feDelay});
-        ++nextFetchIdx;
-        ++fetched;
-
-        if (isBranch(di.op)) {
-            bool predicted = predictor->predict(di.pc);
-            predictor->update(di.pc, di.taken);
-            if (predicted != di.taken) {
-                ++stats.mispredicts;
-                // Wrong path: nothing useful can be fetched until the
-                // branch resolves at writeback.
-                pendingRedirectIdx = nextFetchIdx - 1;
-                break;
-            }
-            if (predicted) {
-                ++stats.predictedTakenCorrect;
-                // Redirect is known one cycle after fetch: one bubble.
-                fetchReadyAt = t + 2;
-                fetchStallCause = FetchStall::TakenBubble;
-                break;
-            }
-        }
-    }
-}
-
-void
 OoOPipeline::step(Cycles t)
 {
     retire(t);
     writeback(t);
     select(t);
     dispatch(t);
-    fetch(t);
+    fetch(
+        t, [&] { return frontEnd.size() < feCapacity; },
+        [&](std::uint64_t idx) { frontEnd.push_back({idx, t + feDelay}); });
 }
 
 OoOSimResult
 OoOPipeline::run()
 {
     Cycles t = 0;
-    const Cycles guard =
-        trace.size() * (machine.l2HitCycles + machine.memCycles +
-                        machine.tlbMissCycles + 64) +
-        1000000;
     while (retired < trace.size()) {
         step(t);
         ++t;
-        if (t > guard)
-            panic("out-of-order pipeline deadlock: retired ", retired,
-                  " of ", trace.size(), " instructions after ", t,
-                  " cycles");
+        checkProgress(t, retired, "out-of-order pipeline");
     }
     stats.cycles = t;
     stats.retired = retired;

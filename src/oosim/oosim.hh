@@ -24,6 +24,11 @@
  * reference simulator and the profiler so model-vs-sim error measures
  * timing fidelity, not state skew):
  *
+ *  - Fetch, the L1 -> L2 -> memory + TLB latency ladder and the
+ *    deadlock guard are the in-order simulator's, from the one shared
+ *    component CoreShell (sim/core_shell.hh); this pipeline keeps only
+ *    its own scheduling core (RS, ROB, FU ports, result buses) and
+ *    resolves mispredictions at writeback.
  *  - The data side is probed at *dispatch*, in program order, and the
  *    resulting service latency applies when the access later issues.
  *    Miss classification is therefore deterministic and independent
@@ -67,23 +72,8 @@ struct OoOSimConfig
 };
 
 /** Simulation outcome with out-of-order stall diagnostics. */
-struct OoOSimResult
+struct OoOSimResult : CoreResult
 {
-    /** Total execution cycles. */
-    Cycles cycles = 0;
-
-    /** Instructions retired (trace length). */
-    InstCount retired = 0;
-
-    /** Cycles the fetch unit was stalled on I-cache/I-TLB misses. */
-    Cycles fetchMissStallCycles = 0;
-
-    /** Fetch bubbles from correctly-predicted taken branches. */
-    Cycles takenBubbleCycles = 0;
-
-    /** Cycles fetch waited on an unresolved mispredicted branch. */
-    Cycles mispredictStallCycles = 0;
-
     /** Cycles dispatch was blocked by a full reorder buffer. */
     Cycles robStallCycles = 0;
 
@@ -96,33 +86,11 @@ struct OoOSimResult
     /** (completed op, cycle) pairs that lost result-bus arbitration. */
     Cycles busStallEvents = 0;
 
-    /** Branch mispredictions observed. */
-    std::uint64_t mispredicts = 0;
-
-    /** Correctly-predicted taken branches observed. */
-    std::uint64_t predictedTakenCorrect = 0;
-
     /** High-water reorder-buffer occupancy. */
     std::uint32_t maxRobOccupancy = 0;
 
     /** High-water issue-queue occupancy. */
     std::uint32_t maxIqOccupancy = 0;
-
-    /** Cycles per instruction. */
-    double
-    cpi() const
-    {
-        return retired ? static_cast<double>(cycles) /
-                             static_cast<double>(retired)
-                       : 0.0;
-    }
-
-    /** Execution time in seconds at @p freq_ghz. */
-    double
-    seconds(double freq_ghz) const
-    {
-        return static_cast<double>(cycles) / (freq_ghz * 1e9);
-    }
 };
 
 /**

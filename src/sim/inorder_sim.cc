@@ -2,16 +2,12 @@
 
 #include <algorithm>
 #include <array>
-#include <limits>
 
-#include "common/logging.hh"
+#include "sim/core_shell.hh"
 
 namespace mech {
 
 namespace {
-
-/** Sentinel "not known yet" cycle. */
-constexpr Cycles kUnknown = std::numeric_limits<Cycles>::max();
 
 /** An instruction in the execute or memory stage. */
 struct StageEntry
@@ -79,16 +75,13 @@ constexpr Cycles SimResult::*kStallCounters[] = {
  * counters the idle cycle charged — the result is exactly that of
  * stepping every cycle.
  */
-class Pipeline
+class Pipeline : CoreShell<SimResult>
 {
   public:
     Pipeline(const Trace &trace, const SimConfig &config)
-        : trace(trace), cfg(config), machine(config.machine),
-          hier(config.hierarchy),
-          predictor(makePredictor(config.predictor)),
+        : CoreShell(trace, config),
           feCount(config.machine.frontendDepth, 0)
     {
-        machine.validate();
         regReadyAt.fill(0);
     }
 
@@ -109,13 +102,12 @@ class Pipeline
     bool execToMem(Cycles t);
     bool issue(Cycles t);
     bool shiftFrontEnd();
-    bool fetch(Cycles t);
 
     /** Trace index of the oldest instruction in the front end. */
     std::uint64_t
     oldestFrontEndIdx() const
     {
-        return nextFetchIdx - feInFlight;
+        return nextFetchIndex() - feInFlight;
     }
 
     /** True when every source of @p di is forwardable at cycle @p t. */
@@ -129,60 +121,6 @@ class Pipeline
         return true;
     }
 
-    /** Memory-stage service demand of one instruction. */
-    struct MemService
-    {
-        Cycles occupancy = 1;
-
-        /**
-         * True when the access holds the (single) miss port: L2/memory
-         * service and page walks serialize; L1 hits are pipelined at
-         * full width.
-         */
-        bool serialized = false;
-    };
-
-    /** Probe the data side and compute @p di's memory-stage demand. */
-    MemService
-    memService(const DynInstr &di)
-    {
-        MemService svc;
-        if (di.op == OpClass::Load) {
-            if (cfg.perfectDCache) {
-                svc.occupancy = machine.dl1HitCycles;
-                svc.serialized = svc.occupancy > 1;
-                return svc;
-            }
-            HierAccess acc = hier.data(di.effAddr, false);
-            if (cfg.perfectTlbs)
-                acc.tlbMiss = false;
-            svc.occupancy = machine.dl1HitCycles;
-            if (acc.level == MemLevel::L2) {
-                svc.occupancy = machine.l2HitCycles;
-                svc.serialized = true;
-            } else if (acc.level == MemLevel::Memory) {
-                svc.occupancy = machine.l2HitCycles + machine.memCycles;
-                svc.serialized = true;
-            }
-            if (acc.tlbMiss) {
-                svc.occupancy += machine.tlbMissCycles;
-                svc.serialized = true;
-            }
-        } else if (di.op == OpClass::Store) {
-            // Probe to keep cache/TLB state identical to the profiler;
-            // the ideal store buffer hides all store latency.
-            if (!cfg.perfectDCache)
-                (void)hier.data(di.effAddr, true);
-        }
-        return svc;
-    }
-
-    const Trace &trace;
-    SimConfig cfg;
-    MachineParams machine;
-    CacheHierarchy hier;
-    std::unique_ptr<BranchPredictor> predictor;
-
     /** regReadyAt[r]: first cycle a consumer entering EX may read r. */
     std::array<Cycles, kNumArchRegs> regReadyAt{};
 
@@ -190,7 +128,8 @@ class Pipeline
      * Occupancy of each front-end stage; [0] = fetch output, [D-1] =
      * decode buffer.  Instructions leave the front end in order, so
      * together the stages hold the contiguous trace range
-     * [nextFetchIdx - feInFlight, nextFetchIdx), oldest in decode.
+     * [nextFetchIndex() - feInFlight, nextFetchIndex()), oldest in
+     * decode.
      */
     std::vector<std::uint32_t> feCount;
 
@@ -212,24 +151,7 @@ class Pipeline
     Cycles exBlockedUntil = 0;
     Cycles memBlockedUntil = 0;
 
-    std::uint64_t nextFetchIdx = 0;
     std::uint64_t retired = 0;
-
-    /** Last trace index probed against the instruction side. */
-    std::uint64_t probedFetchIdx = kUnknown;
-
-    /** Fetch stalled until this cycle (miss / taken bubble). */
-    Cycles fetchReadyAt = 0;
-
-    /** Trace index of an unresolved mispredicted branch, if any. */
-    std::uint64_t pendingRedirectIdx = kUnknown;
-
-    /** Diagnostics. */
-    SimResult stats;
-
-    /** Cause of the current fetch stall (diagnostics only). */
-    enum class FetchStall : std::uint8_t { None, Miss, TakenBubble };
-    FetchStall fetchStallCause = FetchStall::None;
 };
 
 bool
@@ -265,7 +187,7 @@ Pipeline::execToMem(Cycles t)
         MemService svc = memService(di);
         StageEntry entry;
         entry.idx = head.idx;
-        entry.doneAt = t + svc.occupancy;
+        entry.doneAt = t + svc.cycles;
         if (svc.serialized)
             memBlockedUntil = std::max(memBlockedUntil, entry.doneAt);
 
@@ -322,13 +244,9 @@ Pipeline::issue(Cycles t)
                 di.op == OpClass::Load ? kUnknown : t + lat;
         }
 
-        if (isBranch(di.op) && idx == pendingRedirectIdx) {
-            // Misprediction resolves at the end of execute: the front
-            // end restarts on the correct path next cycle.
-            fetchReadyAt = t + lat;
-            pendingRedirectIdx = kUnknown;
-            fetchStallCause = FetchStall::None;
-        }
+        // A misprediction resolves at the end of execute: the front
+        // end restarts on the correct path next cycle.
+        redirect(idx, t + lat);
 
         --decode;
         --feInFlight;
@@ -364,83 +282,6 @@ Pipeline::shiftFrontEnd()
 }
 
 bool
-Pipeline::fetch(Cycles t)
-{
-    if (nextFetchIdx >= trace.size())
-        return false;
-
-    if (pendingRedirectIdx != kUnknown) {
-        ++stats.mispredictStallCycles;
-        return false;
-    }
-    if (fetchReadyAt > t) {
-        if (fetchStallCause == FetchStall::Miss)
-            ++stats.fetchMissStallCycles;
-        else if (fetchStallCause == FetchStall::TakenBubble)
-            ++stats.takenBubbleCycles;
-        return false;
-    }
-    // Diagnostics only: read again only once a later fetch has set
-    // fetchReadyAt, so clearing it does not make the cycle active.
-    fetchStallCause = FetchStall::None;
-
-    std::uint32_t &stage0 = feCount[0];
-    std::uint32_t fetched = 0;
-    while (fetched < machine.width && stage0 < machine.width &&
-           nextFetchIdx < trace.size()) {
-        const DynInstr &di = trace[nextFetchIdx];
-
-        // Probe the instruction side exactly once per instruction (the
-        // profiler sees the very same access stream).  On a miss the
-        // instruction is NOT consumed: it waits for its line, while
-        // anything fetched earlier this cycle proceeds down the pipe.
-        if (nextFetchIdx != probedFetchIdx && !cfg.perfectICache) {
-            HierAccess acc = hier.fetch(di.pc);
-            probedFetchIdx = nextFetchIdx;
-
-            Cycles stall = 0;
-            if (acc.level == MemLevel::L2)
-                stall += machine.l2HitCycles;
-            else if (acc.level == MemLevel::Memory)
-                stall += machine.l2HitCycles + machine.memCycles;
-            if (acc.tlbMiss && !cfg.perfectTlbs)
-                stall += machine.tlbMissCycles;
-
-            if (stall > 0) {
-                fetchReadyAt = t + stall;
-                fetchStallCause = FetchStall::Miss;
-                return true; // the probe itself changed state
-            }
-        }
-
-        ++stage0;
-        ++feInFlight;
-        ++nextFetchIdx;
-        ++fetched;
-
-        if (isBranch(di.op)) {
-            bool predicted = predictor->predict(di.pc);
-            predictor->update(di.pc, di.taken);
-            if (predicted != di.taken) {
-                ++stats.mispredicts;
-                // Wrong path: nothing useful can be fetched until the
-                // branch resolves in execute.
-                pendingRedirectIdx = nextFetchIdx - 1;
-                break;
-            }
-            if (predicted) {
-                ++stats.predictedTakenCorrect;
-                // Redirect is known one cycle after fetch: one bubble.
-                fetchReadyAt = t + 2;
-                fetchStallCause = FetchStall::TakenBubble;
-                break;
-            }
-        }
-    }
-    return fetched != 0;
-}
-
-bool
 Pipeline::step(Cycles t)
 {
     // Every stage runs, whatever the earlier ones returned.
@@ -448,7 +289,13 @@ Pipeline::step(Cycles t)
     active |= execToMem(t);
     active |= issue(t);
     active |= shiftFrontEnd();
-    active |= fetch(t);
+    std::uint32_t &stage0 = feCount[0];
+    active |= fetch(
+        t, [&] { return stage0 < machine.width; },
+        [&](std::uint64_t) {
+            ++stage0;
+            ++feInFlight;
+        });
     return active;
 }
 
@@ -468,7 +315,7 @@ Pipeline::nextEventAfter(Cycles t) const
         consider(mem.front().doneAt);
     consider(exBlockedUntil);
     consider(memBlockedUntil);
-    consider(fetchReadyAt);
+    consider(fetchReadyCycle());
     // Issue only ever tests the oldest front-end instruction's
     // operands; kUnknown (a load not yet in memory) is no timestamp
     // and is skipped by the strict "< next" above.
@@ -486,10 +333,6 @@ SimResult
 Pipeline::run()
 {
     Cycles t = 0;
-    const Cycles guard =
-        trace.size() * (machine.l2HitCycles + machine.memCycles +
-                        machine.tlbMissCycles + 64) +
-        1000000;
     std::array<Cycles, std::size(kStallCounters)> before{};
     while (retired < trace.size()) {
         for (std::size_t i = 0; i < before.size(); ++i)
@@ -510,9 +353,7 @@ Pipeline::run()
             }
         }
         t = next;
-        if (t > guard)
-            panic("pipeline deadlock: retired ", retired, " of ",
-                  trace.size(), " instructions after ", t, " cycles");
+        checkProgress(t, retired, "pipeline");
     }
     stats.cycles = t;
     stats.retired = retired;

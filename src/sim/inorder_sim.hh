@@ -23,6 +23,11 @@
  * consistent with the profiler, and with the paper's decision not to
  * model such second-order effects.
  *
+ * The fetch policy and the L1 -> L2 -> memory + TLB latency ladder are
+ * shared with the out-of-order simulator and live in one place,
+ * CoreShell (sim/core_shell.hh); this file's pipeline keeps only its
+ * own scheduling: the stage rings and the idle-cycle skip.
+ *
  * Everything the analytical model does NOT capture — overlap of miss
  * events with long-latency execution, back-pressure, burstiness —
  * emerges here naturally; the gap between this simulator and the
@@ -65,8 +70,11 @@ struct SimConfig
     bool perfectTlbs = false;
 };
 
-/** Simulation outcome with diagnostic counters. */
-struct SimResult
+/**
+ * What every cycle-accurate pipeline reports: the shared front end's
+ * counters (src/sim/core_shell.hh) plus cycles and retirement.
+ */
+struct CoreResult
 {
     /** Total execution cycles. */
     Cycles cycles = 0;
@@ -82,12 +90,6 @@ struct SimResult
 
     /** Cycles fetch waited on an unresolved mispredicted branch. */
     Cycles mispredictStallCycles = 0;
-
-    /** Cycles decode stalled with unready operands (head-of-queue). */
-    Cycles dependencyStallCycles = 0;
-
-    /** Cycles decode stalled on execute-stage back-pressure. */
-    Cycles backPressureStallCycles = 0;
 
     /** Branch mispredictions observed. */
     std::uint64_t mispredicts = 0;
@@ -110,6 +112,16 @@ struct SimResult
     {
         return static_cast<double>(cycles) / (freq_ghz * 1e9);
     }
+};
+
+/** In-order simulation outcome with diagnostic counters. */
+struct SimResult : CoreResult
+{
+    /** Cycles decode stalled with unready operands (head-of-queue). */
+    Cycles dependencyStallCycles = 0;
+
+    /** Cycles decode stalled on execute-stage back-pressure. */
+    Cycles backPressureStallCycles = 0;
 };
 
 /**
