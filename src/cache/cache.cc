@@ -37,7 +37,14 @@ SetAssocCache::accessSet(Addr addr, bool is_write)
     Line *victim = base;
     for (std::uint32_t w = 0; w < cfg.assoc; ++w) {
         Line &line = base[w];
-        if (line.valid && line.tag == tag) {
+        // Ways fill in index order and only flush() invalidates, all
+        // at once, so the valid lines are a prefix of the set: the
+        // first invalid way ends the search and is the victim.
+        if (!line.valid) {
+            victim = &line;
+            break;
+        }
+        if (line.tag == tag) {
             line.lastUse = useClock;
             line.dirty = line.dirty || is_write;
             ++_stats.hits;
@@ -45,13 +52,9 @@ SetAssocCache::accessSet(Addr addr, bool is_write)
             mruBlock = addr >> blockShift;
             return true;
         }
-        // Track the LRU (or first invalid) way as the victim.
-        if (!line.valid) {
-            if (victim->valid || line.lastUse < victim->lastUse)
-                victim = &line;
-        } else if (victim->valid && line.lastUse < victim->lastUse) {
+        // Otherwise the LRU way is the victim.
+        if (line.lastUse < victim->lastUse)
             victim = &line;
-        }
     }
 
     ++_stats.misses;
@@ -70,8 +73,9 @@ SetAssocCache::contains(Addr addr) const
     std::uint64_t set = setIndex(addr);
     Addr tag = tagOf(addr);
     const Line *base = &lines[set * cfg.assoc];
-    for (std::uint32_t w = 0; w < cfg.assoc; ++w) {
-        if (base[w].valid && base[w].tag == tag)
+    // The valid lines are a prefix of the set (see accessSet).
+    for (std::uint32_t w = 0; w < cfg.assoc && base[w].valid; ++w) {
+        if (base[w].tag == tag)
             return true;
     }
     return false;

@@ -214,7 +214,7 @@ class StackEquivalence : public ::testing::TestWithParam<StackEquivParam>
 TEST_P(StackEquivalence, SinglePassMatchesPerConfigSimulation)
 {
     const auto &p = GetParam();
-    StackDistanceSimulator stack(p.numSets, 64, 32);
+    StackDistanceSimulator stack(p.numSets, 64, p.assoc);
     SetAssocCache cache(
         {p.numSets * p.assoc * 64, p.assoc, 64});
 
@@ -240,7 +240,11 @@ INSTANTIATE_TEST_SUITE_P(
                       StackEquivParam{16, 8, 1024, 11},
                       StackEquivParam{64, 4, 4096, 13},
                       StackEquivParam{8, 16, 512, 17},
-                      StackEquivParam{256, 8, 16384, 19}));
+                      StackEquivParam{256, 8, 16384, 19},
+                      // One set that never fills, and one that
+                      // overflows (the early-stopping set scan).
+                      StackEquivParam{1, 4096, 1024, 23},
+                      StackEquivParam{1, 512, 2048, 29}));
 
 // ---- Golden: optimized simulator == seed algorithm --------------------------------
 //
