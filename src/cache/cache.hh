@@ -104,9 +104,6 @@ class SetAssocCache
     /** Access statistics. */
     const CacheStats &stats() const { return _stats; }
 
-    /** Reset statistics (contents are kept). */
-    void clearStats() { _stats = CacheStats{}; }
-
     /** Geometry. */
     const CacheConfig &config() const { return cfg; }
 

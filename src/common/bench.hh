@@ -24,7 +24,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "common/logging.hh"
@@ -169,15 +168,6 @@ measure(F &&fn, const MeasureOptions &opts = {})
             m.secondsPerIter = s;
     }
     return m;
-}
-
-/** measure() with the work declared: returns items/second directly. */
-template <typename F>
-double
-measureRate(F &&fn, double items_per_iter,
-            const MeasureOptions &opts = {})
-{
-    return measure(std::forward<F>(fn), opts).rate(items_per_iter);
 }
 
 } // namespace mech::bench

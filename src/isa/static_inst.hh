@@ -79,13 +79,6 @@ struct StaticInst
 
     /** True if this instruction writes a register. */
     bool hasDst() const { return dst != kNoReg; }
-
-    /** Number of register sources actually used. */
-    int
-    numSrcs() const
-    {
-        return (src1 != kNoReg ? 1 : 0) + (src2 != kNoReg ? 1 : 0);
-    }
 };
 
 } // namespace mech
