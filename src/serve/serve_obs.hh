@@ -42,6 +42,10 @@ struct ServeObs
     /** Requests answered with an "overloaded" shed error. */
     obs::Counter &shed;
 
+    /** accept() failures on a listener (out of descriptors or memory
+     *  pauses the listener; see docs/serving.md). */
+    obs::Counter &acceptErrors;
+
     static ServeObs &
     get()
     {
@@ -73,6 +77,9 @@ struct ServeObs
             obs::MetricsRegistry::global().counter(
                 "serve.shed",
                 "Requests shed with an overloaded error"),
+            obs::MetricsRegistry::global().counter(
+                "serve.accept_errors",
+                "Failed accept() calls on a listener"),
         };
         return o;
     }

@@ -55,16 +55,30 @@ installSignalHandlers()
     std::signal(SIGPIPE, SIG_IGN);
 }
 
-/** epoll tags below this are the listener / wake eventfd. */
+/** epoll tags below kFirstConnTag are the two listeners (each tag
+ *  is also the listener's index) and the wake eventfd; connections
+ *  are tagged with their session id. */
 constexpr std::uint64_t kListenerTag = 0;
-constexpr std::uint64_t kWakeTag = 1;
-constexpr std::uint64_t kFirstConnTag = 2;
+constexpr std::uint64_t kMetricsListenerTag = 1;
+constexpr std::uint64_t kWakeTag = 2;
+constexpr std::uint64_t kFirstConnTag = 3;
 
-/** High-bit namespace for the metrics endpoint's epoll tags: the
- *  metrics listener is the bare bit, accepted metrics connections
- *  are bit | id.  NDJSON session ids never reach 2^63. */
-constexpr std::uint64_t kMetricsTagBit = std::uint64_t{1} << 63;
-constexpr std::uint64_t kMetricsListenerTag = kMetricsTagBit;
+/** A metrics request longer than this is closed unanswered: no
+ *  legitimate scrape is 64 KiB. */
+constexpr std::size_t kMaxHttpRequestBytes = std::size_t{1} << 16;
+
+/** How long a listener paused by an accept() failure stays unwatched
+ *  when no connection closes to free a descriptor. */
+constexpr std::chrono::milliseconds kAcceptRetry{200};
+
+/** Close @p fd if it is open and mark it closed. */
+void
+closeFd(int &fd)
+{
+    if (fd >= 0)
+        ::close(fd);
+    fd = -1;
+}
 
 } // namespace
 
@@ -96,19 +110,25 @@ struct TcpServer::Impl
     {
     }
 
-    /** One accepted connection.  Input state (raw/line/truncating and
-     *  the eof/broken flags) belongs to the I/O thread alone; outbuf,
-     *  busy and the response counters are shared with the dispatchers
-     *  and guarded by connMtx. */
+    /** One accepted connection: an NDJSON session, or with @c http
+     *  one HTTP/1.0 request to the metrics endpoint, which never
+     *  joins the admission queue nor moves the connection and byte
+     *  series.  Input state (raw/line/truncating and the inputDone/
+     *  broken flags) belongs to the I/O thread alone; outbuf, busy
+     *  and the response counters are shared with the dispatchers and
+     *  guarded by connMtx. */
     struct Conn
     {
         int fd = -1;
         std::uint64_t sid = 0;
+        bool http = false;
 
         std::string raw;  ///< received bytes not yet split on '\n'
         std::string line; ///< the partial line being accumulated
         bool truncating = false;
-        bool peerEof = false;
+        /** No more input is used: the peer closed its side, or the
+         *  HTTP request was answered. */
+        bool inputDone = false;
         bool broken = false;
         bool wantWrite = false;
         std::uint64_t linesRead = 0;
@@ -126,27 +146,20 @@ struct TcpServer::Impl
     SessionOptions opts;
     AdmissionQueue queue;
 
-    /** One connection to the metrics endpoint (I/O thread only).
-     *  HTTP/1.0: read one request, write one response, close. */
-    struct MetricsConn
+    /** A listening socket; paused while an accept() failure that
+     *  would recur at once keeps it out of the epoll set. */
+    struct Listener
     {
         int fd = -1;
-        std::uint64_t tag = 0;
-        std::string inbuf;
-        std::string outbuf;
-        bool responded = false;
-        bool wantWrite = false;
+        unsigned short port = 0;
+        bool paused = false;
+        std::chrono::steady_clock::time_point pausedAt;
     };
 
     int epfd = -1;
-    int listener = -1;
     int wakeFd = -1;
-    unsigned short boundPort = 0;
-
-    int metricsListener = -1;
-    unsigned short metricsBoundPort = 0;
-    std::map<std::uint64_t, MetricsConn> metricsConns;
-    std::uint64_t nextMetricsId = 1;
+    /** Indexed by epoll tag: kListenerTag, kMetricsListenerTag. */
+    Listener listeners[2];
 
     std::thread io;
     std::vector<std::thread> dispatchers;
@@ -170,13 +183,14 @@ struct TcpServer::Impl
                  bool ended);
     void wake();
 
-    void acceptClients();
-    void acceptMetricsClients();
-    void handleMetricsConn(std::uint64_t tag, std::uint32_t events);
-    void closeMetricsConn(std::uint64_t tag);
+    const char *openListener(Listener &l, unsigned short port, int backlog);
+    void closeListeners();
+    bool watch(int op, int fd, std::uint64_t tag, std::uint32_t events);
+    void acceptClients(std::uint64_t tag);
+    void resumeListeners(std::chrono::milliseconds pausedFor);
     std::string metricsHttpResponse(const std::string &request) const;
     void readConn(Conn &conn);
-    void discardInput(Conn &conn);
+    void readHttpRequest(Conn &conn, const char *bytes, std::size_t size);
     void ingestLine(Conn &conn);
     void shedLine(Conn &conn, QueuedLine line);
     bool flushConn(Conn &conn);
@@ -187,20 +201,60 @@ struct TcpServer::Impl
     void drainWriteReady();
 };
 
+const char *
+TcpServer::Impl::openListener(Listener &l, unsigned short port, int backlog)
+{
+    l.fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
+    if (l.fd < 0)
+        return "socket";
+    int one = 1;
+    ::setsockopt(l.fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+
+    sockaddr_in addr;
+    std::memset(&addr, 0, sizeof(addr));
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(port);
+    if (::bind(l.fd, reinterpret_cast<sockaddr *>(&addr),
+               sizeof(addr)) < 0) {
+        return "bind";
+    }
+    if (::listen(l.fd, backlog) < 0)
+        return "listen";
+    socklen_t len = sizeof(addr);
+    if (::getsockname(l.fd, reinterpret_cast<sockaddr *>(&addr),
+                      &len) < 0) {
+        return "getsockname";
+    }
+    l.port = ntohs(addr.sin_port);
+    return nullptr;
+}
+
+void
+TcpServer::Impl::closeListeners()
+{
+    for (Listener &l : listeners)
+        closeFd(l.fd);
+}
+
+bool
+TcpServer::Impl::watch(int op, int fd, std::uint64_t tag, std::uint32_t events)
+{
+    epoll_event ev;
+    std::memset(&ev, 0, sizeof(ev));
+    ev.events = events;
+    ev.data.u64 = tag;
+    return ::epoll_ctl(epfd, op, fd, &ev) == 0;
+}
+
 bool
 TcpServer::Impl::start(std::string *error)
 {
-    auto fail = [&](const char *what) {
-        *error = std::string(what) + ": " + std::strerror(errno);
-        if (listener >= 0)
-            ::close(listener);
-        if (metricsListener >= 0)
-            ::close(metricsListener);
-        if (wakeFd >= 0)
-            ::close(wakeFd);
-        if (epfd >= 0)
-            ::close(epfd);
-        listener = metricsListener = wakeFd = epfd = -1;
+    auto fail = [&](const std::string &what) {
+        *error = what + ": " + std::strerror(errno);
+        closeListeners();
+        closeFd(wakeFd);
+        closeFd(epfd);
         return false;
     };
 
@@ -208,59 +262,14 @@ TcpServer::Impl::start(std::string *error)
     // arrives before any traffic must still see every series.
     ServeObs::get();
 
-    listener = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
-    if (listener < 0)
-        return fail("socket()");
-    int one = 1;
-    ::setsockopt(listener, SOL_SOCKET, SO_REUSEADDR, &one,
-                 sizeof(one));
-
-    sockaddr_in addr;
-    std::memset(&addr, 0, sizeof(addr));
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(cfg.port);
-    if (::bind(listener, reinterpret_cast<sockaddr *>(&addr),
-               sizeof(addr)) < 0) {
-        return fail("bind()");
-    }
-    if (::listen(listener, 128) < 0)
-        return fail("listen()");
-
-    socklen_t len = sizeof(addr);
-    if (::getsockname(listener, reinterpret_cast<sockaddr *>(&addr),
-                      &len) < 0) {
-        return fail("getsockname()");
-    }
-    boundPort = ntohs(addr.sin_port);
-
+    const char *call = openListener(listeners[kListenerTag], cfg.port, 128);
+    if (call)
+        return fail(std::string(call) + "()");
     if (cfg.metricsPort >= 0) {
-        metricsListener =
-            ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
-        if (metricsListener < 0)
-            return fail("socket(metrics)");
-        ::setsockopt(metricsListener, SOL_SOCKET, SO_REUSEADDR, &one,
-                     sizeof(one));
-        sockaddr_in maddr;
-        std::memset(&maddr, 0, sizeof(maddr));
-        maddr.sin_family = AF_INET;
-        maddr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-        maddr.sin_port =
-            htons(static_cast<unsigned short>(cfg.metricsPort));
-        if (::bind(metricsListener,
-                   reinterpret_cast<sockaddr *>(&maddr),
-                   sizeof(maddr)) < 0) {
-            return fail("bind(metrics)");
-        }
-        if (::listen(metricsListener, 16) < 0)
-            return fail("listen(metrics)");
-        socklen_t mlen = sizeof(maddr);
-        if (::getsockname(metricsListener,
-                          reinterpret_cast<sockaddr *>(&maddr),
-                          &mlen) < 0) {
-            return fail("getsockname(metrics)");
-        }
-        metricsBoundPort = ntohs(maddr.sin_port);
+        const auto port = static_cast<unsigned short>(cfg.metricsPort);
+        call = openListener(listeners[kMetricsListenerTag], port, 16);
+        if (call)
+            return fail(std::string(call) + "(metrics)");
     }
 
     wakeFd = ::eventfd(0, EFD_NONBLOCK);
@@ -269,20 +278,12 @@ TcpServer::Impl::start(std::string *error)
     epfd = ::epoll_create1(0);
     if (epfd < 0)
         return fail("epoll_create1()");
-
-    epoll_event ev;
-    std::memset(&ev, 0, sizeof(ev));
-    ev.events = EPOLLIN;
-    ev.data.u64 = kListenerTag;
-    if (::epoll_ctl(epfd, EPOLL_CTL_ADD, listener, &ev) < 0)
-        return fail("epoll_ctl(listener)");
-    ev.data.u64 = kWakeTag;
-    if (::epoll_ctl(epfd, EPOLL_CTL_ADD, wakeFd, &ev) < 0)
+    if (!watch(EPOLL_CTL_ADD, wakeFd, kWakeTag, EPOLLIN))
         return fail("epoll_ctl(eventfd)");
-    if (metricsListener >= 0) {
-        ev.data.u64 = kMetricsListenerTag;
-        if (::epoll_ctl(epfd, EPOLL_CTL_ADD, metricsListener, &ev) < 0)
-            return fail("epoll_ctl(metrics)");
+    for (std::uint64_t tag : {kListenerTag, kMetricsListenerTag}) {
+        if (listeners[tag].fd >= 0 &&
+            !watch(EPOLL_CTL_ADD, listeners[tag].fd, tag, EPOLLIN))
+            return fail("epoll_ctl(listener)");
     }
 
     if (cfg.dispatchHoldMs > 0)
@@ -290,12 +291,13 @@ TcpServer::Impl::start(std::string *error)
 
     // Logged before the threads spawn: the I/O thread owns the log
     // stream from here until wait() joins it.
+    const unsigned short boundPort = listeners[kListenerTag].port;
     log << "mech_serve: listening on 127.0.0.1:" << boundPort << " ("
         << cfg.dispatchers << " dispatcher(s), queue " << cfg.maxQueue
         << ", per-session " << cfg.maxInflight << ")\n";
-    if (metricsListener >= 0) {
+    if (cfg.metricsPort >= 0) {
         log << "mech_serve: metrics on http://127.0.0.1:"
-            << metricsBoundPort << "/metrics\n";
+            << listeners[kMetricsListenerTag].port << "/metrics\n";
     }
 
     io = std::thread([this] { ioLoop(); });
@@ -318,11 +320,7 @@ TcpServer::Impl::setWantWrite(Conn &conn, bool want)
     if (conn.wantWrite == want)
         return;
     conn.wantWrite = want;
-    epoll_event ev;
-    std::memset(&ev, 0, sizeof(ev));
-    ev.events = EPOLLIN | (want ? EPOLLOUT : 0u);
-    ev.data.u64 = conn.sid;
-    ::epoll_ctl(epfd, EPOLL_CTL_MOD, conn.fd, &ev);
+    watch(EPOLL_CTL_MOD, conn.fd, conn.sid, EPOLLIN | (want ? EPOLLOUT : 0u));
 }
 
 bool
@@ -342,7 +340,8 @@ TcpServer::Impl::flushConn(Conn &conn)
             conn.broken = true;
             return false;
         }
-        ServeObs::get().bytesOut.inc(static_cast<std::uint64_t>(put));
+        if (!conn.http)
+            ServeObs::get().bytesOut.inc(static_cast<std::uint64_t>(put));
         conn.outbuf.erase(0, static_cast<std::size_t>(put));
     }
     setWantWrite(conn, false);
@@ -350,31 +349,43 @@ TcpServer::Impl::flushConn(Conn &conn)
 }
 
 void
-TcpServer::Impl::acceptClients()
+TcpServer::Impl::acceptClients(std::uint64_t tag)
 {
+    Listener &l = listeners[tag];
+    const bool http = tag == kMetricsListenerTag;
     for (;;) {
-        int client =
-            ::accept4(listener, nullptr, nullptr, SOCK_NONBLOCK);
+        int client = ::accept4(l.fd, nullptr, nullptr, SOCK_NONBLOCK);
         if (client < 0) {
             if (errno == EINTR)
                 continue;
-            return; // EAGAIN: accepted everything pending
+            if (errno == EAGAIN || errno == EWOULDBLOCK)
+                return; // accepted everything pending
+            ServeObs::get().acceptErrors.inc();
+            // Out of descriptors or memory, the pending connection
+            // stays queued and the level-triggered listener would
+            // fire again at once: stop watching it until a
+            // connection closes or kAcceptRetry passes.
+            if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS ||
+                errno == ENOMEM) {
+                l.paused = true;
+                l.pausedAt = std::chrono::steady_clock::now();
+                watch(EPOLL_CTL_MOD, l.fd, tag, 0);
+            }
+            return;
         }
         auto conn = std::make_unique<Conn>();
         conn->fd = client;
         conn->sid = nextSid++;
-        queue.addSession(conn->sid);
-
-        epoll_event ev;
-        std::memset(&ev, 0, sizeof(ev));
-        ev.events = EPOLLIN;
-        ev.data.u64 = conn->sid;
-        if (::epoll_ctl(epfd, EPOLL_CTL_ADD, client, &ev) < 0) {
+        conn->http = http;
+        if (!http)
+            queue.addSession(conn->sid);
+        if (!watch(EPOLL_CTL_ADD, client, conn->sid, EPOLLIN)) {
             queue.removeSession(conn->sid);
             ::close(client);
             continue;
         }
-        ServeObs::get().connections.add(1);
+        if (!http)
+            ServeObs::get().connections.add(1);
         MECH_LOG(Debug)
             << "mech_serve: client connected (session " << conn->sid
             << ")";
@@ -384,29 +395,18 @@ TcpServer::Impl::acceptClients()
 }
 
 void
-TcpServer::Impl::acceptMetricsClients()
+TcpServer::Impl::resumeListeners(std::chrono::milliseconds pausedFor)
 {
-    for (;;) {
-        int client = ::accept4(metricsListener, nullptr, nullptr,
-                               SOCK_NONBLOCK);
-        if (client < 0) {
-            if (errno == EINTR)
-                continue;
-            return; // EAGAIN: accepted everything pending
+    if (!listeners[kListenerTag].paused &&
+        !listeners[kMetricsListenerTag].paused)
+        return;
+    const auto now = std::chrono::steady_clock::now();
+    for (std::uint64_t tag : {kListenerTag, kMetricsListenerTag}) {
+        Listener &l = listeners[tag];
+        if (l.paused && l.fd >= 0 && now - l.pausedAt >= pausedFor) {
+            l.paused = false;
+            watch(EPOLL_CTL_MOD, l.fd, tag, EPOLLIN);
         }
-        MetricsConn conn;
-        conn.fd = client;
-        conn.tag = kMetricsTagBit | nextMetricsId++;
-
-        epoll_event ev;
-        std::memset(&ev, 0, sizeof(ev));
-        ev.events = EPOLLIN;
-        ev.data.u64 = conn.tag;
-        if (::epoll_ctl(epfd, EPOLL_CTL_ADD, client, &ev) < 0) {
-            ::close(client);
-            continue;
-        }
-        metricsConns.emplace(conn.tag, conn);
     }
 }
 
@@ -447,89 +447,6 @@ TcpServer::Impl::metricsHttpResponse(const std::string &request) const
          << "Connection: close\r\n\r\n"
          << body;
     return resp.str();
-}
-
-void
-TcpServer::Impl::handleMetricsConn(std::uint64_t tag,
-                                   std::uint32_t events)
-{
-    auto it = metricsConns.find(tag);
-    if (it == metricsConns.end())
-        return;
-    MetricsConn &conn = it->second;
-
-    if (events & (EPOLLERR | EPOLLHUP)) {
-        closeMetricsConn(tag);
-        return;
-    }
-    if (!conn.responded && (events & EPOLLIN)) {
-        char chunk[4096];
-        bool eof = false;
-        for (;;) {
-            ssize_t got = ::recv(conn.fd, chunk, sizeof(chunk), 0);
-            if (got < 0) {
-                if (errno == EINTR)
-                    continue;
-                if (errno != EAGAIN && errno != EWOULDBLOCK) {
-                    closeMetricsConn(tag);
-                    return;
-                }
-                break;
-            }
-            if (got == 0) {
-                eof = true;
-                break;
-            }
-            conn.inbuf.append(chunk, static_cast<std::size_t>(got));
-            if (conn.inbuf.size() > (1u << 16)) {
-                closeMetricsConn(tag); // no legitimate scrape is 64K
-                return;
-            }
-        }
-        const bool complete =
-            conn.inbuf.find("\r\n\r\n") != std::string::npos ||
-            conn.inbuf.find("\n\n") != std::string::npos || eof;
-        if (complete) {
-            conn.outbuf = metricsHttpResponse(conn.inbuf);
-            conn.responded = true;
-        }
-    }
-    if (!conn.responded)
-        return;
-    while (!conn.outbuf.empty()) {
-        ssize_t put = ::send(conn.fd, conn.outbuf.data(),
-                             conn.outbuf.size(), 0);
-        if (put < 0) {
-            if (errno == EINTR)
-                continue;
-            if (errno == EAGAIN || errno == EWOULDBLOCK) {
-                if (!conn.wantWrite) {
-                    conn.wantWrite = true;
-                    epoll_event ev;
-                    std::memset(&ev, 0, sizeof(ev));
-                    ev.events = EPOLLIN | EPOLLOUT;
-                    ev.data.u64 = conn.tag;
-                    ::epoll_ctl(epfd, EPOLL_CTL_MOD, conn.fd, &ev);
-                }
-                return;
-            }
-            closeMetricsConn(tag);
-            return;
-        }
-        conn.outbuf.erase(0, static_cast<std::size_t>(put));
-    }
-    closeMetricsConn(tag); // response fully written: HTTP/1.0 close
-}
-
-void
-TcpServer::Impl::closeMetricsConn(std::uint64_t tag)
-{
-    auto it = metricsConns.find(tag);
-    if (it == metricsConns.end())
-        return;
-    ::epoll_ctl(epfd, EPOLL_CTL_DEL, it->second.fd, nullptr);
-    ::close(it->second.fd);
-    metricsConns.erase(it);
 }
 
 void
@@ -600,6 +517,28 @@ TcpServer::Impl::ingestLine(Conn &conn)
 }
 
 void
+TcpServer::Impl::readHttpRequest(Conn &conn, const char *bytes,
+                                 std::size_t size)
+{
+    // A deliberately tiny HTTP/1.0 server: one request, one response,
+    // close.  The request is complete at its blank line or at end of
+    // input (@p size 0).
+    conn.raw.append(bytes, size);
+    if (conn.raw.size() > kMaxHttpRequestBytes) {
+        conn.broken = true; // closed unanswered
+        return;
+    }
+    if (size > 0 && conn.raw.find("\r\n\r\n") == std::string::npos &&
+        conn.raw.find("\n\n") == std::string::npos) {
+        return;
+    }
+    conn.inputDone = true;
+    std::lock_guard<std::mutex> lock(connMtx);
+    conn.outbuf = metricsHttpResponse(conn.raw);
+    flushConn(conn);
+}
+
+void
 TcpServer::Impl::readConn(Conn &conn)
 {
     char chunk[1 << 16];
@@ -612,8 +551,25 @@ TcpServer::Impl::readConn(Conn &conn)
                 conn.broken = true;
             return;
         }
+        if (draining || conn.inputDone) {
+            // During drain the server answers what it admitted and
+            // nothing more; an answered HTTP request ends its input.
+            // Later bytes are consumed and dropped so level-triggered
+            // polling does not spin on them.
+            if (got == 0) {
+                conn.inputDone = true;
+                return;
+            }
+            continue;
+        }
+        if (conn.http) {
+            readHttpRequest(conn, chunk, static_cast<std::size_t>(got));
+            if (got == 0 || conn.broken)
+                return;
+            continue;
+        }
         if (got == 0) {
-            conn.peerEof = true;
+            conn.inputDone = true;
             // A final unterminated line still counts (mirroring the
             // blocking reader's EOF behaviour).
             if (!conn.raw.empty() || !conn.line.empty()) {
@@ -651,29 +607,6 @@ TcpServer::Impl::readConn(Conn &conn)
 }
 
 void
-TcpServer::Impl::discardInput(Conn &conn)
-{
-    // During drain the server answers what it admitted and nothing
-    // more; unread input is consumed and dropped so level-triggered
-    // polling does not spin on it.
-    char chunk[1 << 16];
-    for (;;) {
-        ssize_t got = ::recv(conn.fd, chunk, sizeof(chunk), 0);
-        if (got < 0) {
-            if (errno == EINTR)
-                continue;
-            if (errno != EAGAIN && errno != EWOULDBLOCK)
-                conn.broken = true;
-            return;
-        }
-        if (got == 0) {
-            conn.peerEof = true;
-            return;
-        }
-    }
-}
-
-void
 TcpServer::Impl::closeConn(std::uint64_t sid)
 {
     std::unique_ptr<Conn> conn;
@@ -689,8 +622,10 @@ TcpServer::Impl::closeConn(std::uint64_t sid)
     ::epoll_ctl(epfd, EPOLL_CTL_DEL, conn->fd, nullptr);
     ::shutdown(conn->fd, SHUT_RDWR);
     ::close(conn->fd);
+    resumeListeners(std::chrono::milliseconds(0)); // a descriptor freed
     ServeObs &sobs = ServeObs::get();
-    sobs.connections.sub(1);
+    if (!conn->http)
+        sobs.connections.sub(1);
     // Lines the session still had in flight will never be answered:
     // settle the gauge so a mid-batch disconnect cannot leak it.
     if (conn->busy > 0)
@@ -706,18 +641,7 @@ TcpServer::Impl::beginDrain()
     if (draining)
         return;
     draining = true;
-    if (listener >= 0) {
-        ::epoll_ctl(epfd, EPOLL_CTL_DEL, listener, nullptr);
-        ::close(listener);
-        listener = -1;
-    }
-    if (metricsListener >= 0) {
-        ::epoll_ctl(epfd, EPOLL_CTL_DEL, metricsListener, nullptr);
-        ::close(metricsListener);
-        metricsListener = -1;
-    }
-    while (!metricsConns.empty())
-        closeMetricsConn(metricsConns.begin()->first);
+    closeListeners();
     queue.stop();
 }
 
@@ -732,7 +656,7 @@ TcpServer::Impl::sweepConns()
         std::lock_guard<std::mutex> lock(connMtx);
         for (auto &[sid, conn] : conns) {
             if (conn->broken ||
-                ((conn->peerEof || draining) && conn->busy == 0 &&
+                ((conn->inputDone || draining) && conn->busy == 0 &&
                  conn->outbuf.empty())) {
                 done.push_back(sid);
             }
@@ -794,28 +718,19 @@ TcpServer::Impl::ioLoop()
 
         for (int i = 0; i < std::max(n, 0); ++i) {
             const std::uint64_t tag = events[i].data.u64;
-            if (tag == kListenerTag) {
-                if (!draining)
-                    acceptClients();
-                if (holdActive && !holdStarted) {
-                    holdStarted = true;
-                    holdStart = clock::now();
-                }
-                continue;
-            }
             if (tag == kWakeTag) {
                 std::uint64_t count;
                 while (::read(wakeFd, &count, sizeof(count)) > 0) {
                 }
                 continue;
             }
-            if (tag == kMetricsListenerTag) {
-                if (!draining && metricsListener >= 0)
-                    acceptMetricsClients();
-                continue;
-            }
-            if (tag & kMetricsTagBit) {
-                handleMetricsConn(tag, events[i].events);
+            if (tag < kFirstConnTag) {
+                if (!draining)
+                    acceptClients(tag);
+                if (tag == kListenerTag && holdActive && !holdStarted) {
+                    holdStarted = true;
+                    holdStart = clock::now();
+                }
                 continue;
             }
             Conn *conn = nullptr;
@@ -832,12 +747,8 @@ TcpServer::Impl::ioLoop()
             // flushConn retakes the lock for the shared half.
             if (events[i].events & (EPOLLERR | EPOLLHUP))
                 conn->broken = true;
-            if (!conn->broken && (events[i].events & EPOLLIN)) {
-                if (draining)
-                    discardInput(*conn);
-                else
-                    readConn(*conn);
-            }
+            if (!conn->broken && (events[i].events & EPOLLIN))
+                readConn(*conn);
             if (!conn->broken && (events[i].events & EPOLLOUT)) {
                 std::lock_guard<std::mutex> lock(connMtx);
                 flushConn(*conn);
@@ -846,6 +757,7 @@ TcpServer::Impl::ioLoop()
 
         drainWriteReady();
         sweepConns();
+        resumeListeners(kAcceptRetry);
 
         if (draining) {
             std::lock_guard<std::mutex> lock(connMtx);
@@ -955,13 +867,13 @@ TcpServer::start(std::string *error)
 unsigned short
 TcpServer::port() const
 {
-    return impl->boundPort;
+    return impl->listeners[kListenerTag].port;
 }
 
 unsigned short
 TcpServer::metricsPort() const
 {
-    return impl->metricsBoundPort;
+    return impl->listeners[kMetricsListenerTag].port;
 }
 
 void
@@ -984,22 +896,9 @@ TcpServer::wait()
         if (t.joinable())
             t.join();
     }
-    if (impl->epfd >= 0) {
-        ::close(impl->epfd);
-        impl->epfd = -1;
-    }
-    if (impl->wakeFd >= 0) {
-        ::close(impl->wakeFd);
-        impl->wakeFd = -1;
-    }
-    if (impl->listener >= 0) {
-        ::close(impl->listener);
-        impl->listener = -1;
-    }
-    if (impl->metricsListener >= 0) {
-        ::close(impl->metricsListener);
-        impl->metricsListener = -1;
-    }
+    closeFd(impl->epfd);
+    closeFd(impl->wakeFd);
+    impl->closeListeners();
 }
 
 bool

@@ -25,6 +25,15 @@
  * shed behind the session's own shutdown is still answered.  Only
  * admitted lines keep request order.
  *
+ * The optional metrics endpoint (TcpServerConfig::metricsPort) shares
+ * that one connection path: the same accept loop, read loop, write
+ * buffer and close.  A metrics connection is flagged HTTP, answers one
+ * HTTP/1.0 request and closes; it never joins the admission queue.
+ * An accept() that fails for lack of descriptors or memory takes its
+ * listener out of the epoll set until a connection closes or 200 ms
+ * pass, instead of spinning; every failure counts in
+ * serve.accept_errors.
+ *
  * Graceful drain: a client "shutdown" request answers its final "bye"
  * accounting line, then the server stops accepting, the dispatchers
  * finish every admitted request, write buffers flush, and the process

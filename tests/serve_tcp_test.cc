@@ -22,6 +22,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -144,8 +145,11 @@ TEST(Admission, OneBatchInFlightPerSession)
     cfg.maxBatch = 2;
     AdmissionQueue q(cfg);
     q.addSession(1);
-    for (int i = 0; i < 5; ++i)
-        ASSERT_TRUE(q.offer(1, line("l" + std::to_string(i))));
+    for (int i = 0; i < 5; ++i) {
+        std::string text = "l";
+        text += std::to_string(i);
+        ASSERT_TRUE(q.offer(1, line(text)));
+    }
 
     AdmissionQueue::Batch batch;
     ASSERT_TRUE(q.nextBatch(&batch));
@@ -809,6 +813,99 @@ TEST(ServeTcp, HalfSentScrapeDoesNotHoldUpDrain)
     ::close(fd);
     waiter.join();
     EXPECT_TRUE(fx.server.drainedByShutdown());
+}
+
+/** Lowers the soft descriptor limit and restores it on every exit. */
+struct FdLimitGuard
+{
+    rlimit saved{};
+    bool ok = ::getrlimit(RLIMIT_NOFILE, &saved) == 0;
+
+    ~FdLimitGuard() { restore(); }
+
+    bool
+    lower(rlim_t soft)
+    {
+        rlimit lowered = saved;
+        lowered.rlim_cur = soft;
+        return ok && ::setrlimit(RLIMIT_NOFILE, &lowered) == 0;
+    }
+
+    void
+    restore()
+    {
+        if (ok)
+            ::setrlimit(RLIMIT_NOFILE, &saved);
+    }
+};
+
+/** Poll @p done every 10 ms for up to 5 s. */
+template <typename Pred>
+bool
+eventually(Pred done)
+{
+    for (int i = 0; i < 500; ++i) {
+        if (done())
+            return true;
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    return done();
+}
+
+TEST(ServeTcp, AcceptOutOfDescriptorsPausesListenerInsteadOfSpinning)
+{
+    TcpServerConfig tcp;
+    tcp.metricsPort = 0;
+    ServerFixture fx(tcp);
+    const ServeObs &sobs = ServeObs::get();
+
+    // One accepted session, closed later to free a descriptor.
+    const std::int64_t connections0 = sobs.connections.value();
+    const int held = connectLoopback(fx.server.port());
+    ASSERT_GE(held, 0);
+    const auto accepted = [&] {
+        return sobs.connections.value() == connections0 + 1;
+    };
+    ASSERT_TRUE(eventually(accepted));
+
+    // The waiting client's socket exists before the limit drops to the
+    // lowest free descriptor, so connect() still works but the
+    // server's accept4() gets EMFILE.
+    const int waiting = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(waiting, 0);
+    const int lowestFree = ::dup(waiting);
+    ASSERT_GE(lowestFree, 0);
+    ::close(lowestFree);
+    FdLimitGuard limit;
+    const std::uint64_t errors0 = sobs.acceptErrors.value();
+    ASSERT_TRUE(limit.lower(static_cast<rlim_t>(lowestFree)));
+    ASSERT_TRUE(connectTo(waiting, fx.server.port()));
+    const auto failed = [&] { return sobs.acceptErrors.value() > errors0; };
+    ASSERT_TRUE(eventually(failed)) << "the server's accept4() never failed";
+
+    // A level-triggered listener retrying at once fails thousands of
+    // times here; a paused one retries only on its tick.
+    const std::uint64_t errors1 = sobs.acceptErrors.value();
+    std::this_thread::sleep_for(std::chrono::milliseconds(500));
+    EXPECT_LE(sobs.acceptErrors.value() - errors1, 10u);
+
+    // A closed session frees a descriptor: the waiting one is served.
+    ASSERT_TRUE(sendAll(waiting, "{\"id\": 7, \"type\": \"info\"}\n"));
+    ::close(held);
+    limit.restore();
+    timeval timeout{10, 0};
+    ::setsockopt(waiting, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+    std::string response;
+    char c = 0;
+    while (response.find('\n') == std::string::npos &&
+           ::recv(waiting, &c, 1, 0) == 1)
+        response += c;
+    ::close(waiting);
+    EXPECT_NE(response.find("\"id\": 7"), std::string::npos) << response;
+
+    const std::string scrape = httpGet(fx.server.metricsPort(), "/metrics");
+    const auto minErrors = static_cast<long long>(errors1);
+    EXPECT_GE(sampleValue(scrape, "mech_serve_accept_errors"), minErrors);
 }
 
 // ---------------------------------------------------------------------
