@@ -207,6 +207,15 @@ struct StackEquivParam
     std::uint64_t seed;
 };
 
+/** Names each instance by its fields (gtest would otherwise print the
+ *  struct's raw bytes, padding included). */
+void
+PrintTo(const StackEquivParam &p, std::ostream *os)
+{
+    *os << "sets" << p.numSets << "_assoc" << p.assoc;
+    *os << "_blocks" << p.addrSpaceBlocks << "_seed" << p.seed;
+}
+
 class StackEquivalence : public ::testing::TestWithParam<StackEquivParam>
 {
 };
@@ -315,6 +324,13 @@ struct StackGoldenParam
     std::uint64_t addrSpaceBlocks;
     std::uint64_t seed;
 };
+
+void
+PrintTo(const StackGoldenParam &p, std::ostream *os)
+{
+    *os << "sets" << p.numSets << "_blocks" << p.addrSpaceBlocks;
+    *os << "_seed" << p.seed;
+}
 
 class StackGolden : public ::testing::TestWithParam<StackGoldenParam>
 {
