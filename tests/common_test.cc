@@ -1,14 +1,20 @@
 /**
  * @file
  * Unit tests for the common substrate: RNG, histogram, summary
- * statistics, error metrics, the text-table printer and the shared
+ * statistics, error metrics, the text-table printer, the shared
  * command-line parser (including the unknown-flag rejection
- * regression tests).
+ * regression tests) and the shortest round-trip number formatter.
  */
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -17,6 +23,8 @@
 
 #include "common/cli.hh"
 #include "common/histogram.hh"
+#include "common/json.hh"
+#include "common/numfmt.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
@@ -284,6 +292,109 @@ TEST(TextTable, SciFormatsScientific)
 {
     EXPECT_EQ(TextTable::sci(12345.0, 3), "1.234e+04");
     EXPECT_EQ(TextTable::sci(1.5e-10, 1), "1.5e-10");
+}
+
+// ---- NumFmt ---------------------------------------------------------------
+
+/**
+ * The reference definition of exactDouble(): the smallest precision P
+ * whose printf("%.Pg") form parses back to the same double, found by
+ * trying every P from 1 to 17.
+ */
+std::string
+printfTrialLoop(double value)
+{
+    char buf[40];
+    for (int prec = 1; prec <= 17; ++prec) {
+        std::snprintf(buf, sizeof(buf), "%.*g", prec, value);
+        if (std::strtod(buf, nullptr) == value)
+            break;
+    }
+    return buf;
+}
+
+double
+fromBits(std::uint64_t bits)
+{
+    double value;
+    std::memcpy(&value, &bits, sizeof(value));
+    return value;
+}
+
+/** Seeded inputs covering every shape the formatter has to get right. */
+std::vector<double>
+numFmtInputs()
+{
+    std::vector<double> values;
+    Rng rng(0x6e756d666d74ull);
+    for (int i = 0; i < 45000; ++i)
+        values.push_back(rng.uniform() * 10.0);
+    // CPI, energy, latency and frequency magnitudes: 1e-12 .. 1e3.
+    for (int i = 0; i < 45000; ++i)
+        values.push_back(std::pow(10.0, -12.0 + 15.0 * rng.uniform()));
+    // Arbitrary bit patterns: every exponent, sign, NaN payloads.
+    for (int i = 0; i < 40000; ++i)
+        values.push_back(fromBits(rng.next()));
+    // Short decimals such as "0.8" or "2.25e-05", the common case.
+    for (int i = 0; i < 20000; ++i) {
+        char text[40];
+        std::snprintf(text, sizeof(text), "%llue%d",
+                      static_cast<unsigned long long>(rng.below(100000)),
+                      static_cast<int>(rng.range(-30, 30)));
+        values.push_back(std::strtod(text, nullptr));
+    }
+    // Integers up to 2^53.
+    for (int i = 0; i < 20000; ++i)
+        values.push_back(static_cast<double>(rng.below((1ull << 53) + 1)));
+    for (int i = 0; i < 5000; ++i)
+        values.push_back(static_cast<double>(rng.below(100000)));
+    // Subnormals.
+    for (int i = 0; i < 20000; ++i)
+        values.push_back(fromBits(rng.below(1ull << 52) |
+                                  (rng.below(2) << 63)));
+    // Every power of two and its neighbours: the rounding interval
+    // is asymmetric exactly there.
+    for (int e = -1074; e <= 1023; ++e) {
+        double p = std::ldexp(1.0, e);
+        for (double v : {p, std::nextafter(p, 0.0),
+                         std::nextafter(p, HUGE_VAL)}) {
+            values.push_back(v);
+            values.push_back(-v);
+        }
+    }
+    for (double v : {0.0, 1.0, 0.8, 0.1, 1e308, 1e-308, 9007199254740992.0,
+                     DBL_MAX, DBL_MIN, DBL_TRUE_MIN, DBL_EPSILON,
+                     std::numeric_limits<double>::infinity(),
+                     std::numeric_limits<double>::quiet_NaN()}) {
+        values.push_back(v);
+        values.push_back(-v);
+    }
+    return values;
+}
+
+TEST(NumFmt, MatchesPrintfTrialLoop)
+{
+    std::vector<double> values = numFmtInputs();
+    ASSERT_GE(values.size(), 200000u);
+    std::size_t mismatches = 0;
+    for (double v : values) {
+        std::string expected = printfTrialLoop(v);
+        std::string got = exactDouble(v);
+        std::ostringstream json;
+        json::writeNumber(json, v);
+        bool same = got == expected && json.str() == expected;
+        bool exact = !std::isfinite(v) ||
+                     std::strtod(got.c_str(), nullptr) == v;
+        if (!same || !exact) {
+            if (++mismatches <= 10) {
+                ADD_FAILURE() << std::hexfloat << v << std::defaultfloat
+                              << ": expected \"" << expected << "\", got \""
+                              << got << "\" (writeNumber \"" << json.str()
+                              << "\")";
+            }
+        }
+    }
+    EXPECT_EQ(mismatches, 0u) << "of " << values.size() << " values";
 }
 
 // ---- ArgParser ------------------------------------------------------------
