@@ -378,7 +378,8 @@ writeString(std::ostream &os, std::string_view s)
 void
 writeNumber(std::ostream &os, double v)
 {
-    os << exactDouble(v);
+    char buf[kExactDoubleChars];
+    os.write(buf, static_cast<std::streamsize>(formatExactDouble(v, buf)));
 }
 
 } // namespace mech::json

@@ -13,31 +13,72 @@
 #define MECH_COMMON_NUMFMT_HH
 
 #include <cerrno>
+#include <charconv>
+#include <cmath>
+#include <cstddef>
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
 #include <string>
 
 namespace mech {
 
+/** Buffer size formatExactDouble() needs, e.g. "-2.2250738585072014e-308". */
+constexpr std::size_t kExactDoubleChars = 32;
+
 /**
- * Shortest decimal form of @p value that parses back bit-identically.
+ * Write the shortest decimal form of @p value that parses back
+ * bit-identically into @p out (not NUL-terminated); returns its length.
  *
- * %.17g always round-trips an IEEE double but prints
- * "0.80000000000000004"-style noise for values with short exact
- * forms; trying increasing precision keeps keys readable
- * ("freq=0.8") without giving up exact recovery.
+ * The form is printf("%.Pg") for the smallest precision P that round
+ * trips: %.17g always does, but prints "0.80000000000000004"-style
+ * noise for values with short exact forms, and the smallest P keeps
+ * keys readable ("freq=0.8") without giving up exact recovery.
+ *
+ * P starts at the digit count of std::to_chars' shortest round-trip
+ * scientific form: no shorter "%.Pg" form can round trip.  That form
+ * is printed with to_chars(general, P), which the standard defines as
+ * "%.Pg" in the C locale, and checked by parsing it back.  At a power
+ * of two the interval that rounds to @p value is narrower below it
+ * than above, so the correctly rounded P-digit form can miss it while
+ * the shortest form does not; P then steps up until the check holds.
+ * Both formatting and the check ignore the locale, so the output does
+ * not depend on LC_NUMERIC.  Non-finite values print as glibc's printf
+ * does: "inf", "-inf", "nan", "-nan".
  */
+inline std::size_t
+formatExactDouble(double value, char (&out)[kExactDoubleChars])
+{
+    char *const first = out;
+    char *const last = out + kExactDoubleChars;
+    if (!std::isfinite(value)) {
+        char *p = first;
+        if (std::signbit(value))
+            *p++ = '-';
+        for (const char *s = std::isnan(value) ? "nan" : "inf"; *s; ++s)
+            *p++ = *s;
+        return static_cast<std::size_t>(p - first);
+    }
+    char *end = std::to_chars(first, last, value,
+                              std::chars_format::scientific).ptr;
+    int prec = 0;
+    for (const char *p = first; p != end && *p != 'e'; ++p)
+        prec += *p >= '0' && *p <= '9';
+    for (;; ++prec) {
+        end = std::to_chars(first, last, value, std::chars_format::general,
+                            prec).ptr;
+        double parsed = 0.0;
+        std::from_chars(first, end, parsed);
+        if (parsed == value || prec >= 17)
+            return static_cast<std::size_t>(end - first);
+    }
+}
+
+/** formatExactDouble() as a string, for the key and spec codecs. */
 inline std::string
 exactDouble(double value)
 {
-    char buf[40];
-    for (int prec = 1; prec <= 17; ++prec) {
-        std::snprintf(buf, sizeof(buf), "%.*g", prec, value);
-        if (std::strtod(buf, nullptr) == value)
-            break;
-    }
-    return buf;
+    char buf[kExactDoubleChars];
+    return std::string(buf, formatExactDouble(value, buf));
 }
 
 /**
