@@ -114,9 +114,10 @@ struct TcpServer::Impl
      *  one HTTP/1.0 request to the metrics endpoint, which never
      *  joins the admission queue nor moves the connection and byte
      *  series.  Input state (raw/line/truncating and the inputDone/
-     *  broken flags) belongs to the I/O thread alone; outbuf, busy
-     *  and the response counters are shared with the dispatchers and
-     *  guarded by connMtx. */
+     *  broken flags) and the epoll interest (wantWrite, events)
+     *  belong to the I/O thread alone; outbuf, busy and the response
+     *  counters are shared with the dispatchers and guarded by
+     *  connMtx. */
     struct Conn
     {
         int fd = -1;
@@ -131,6 +132,7 @@ struct TcpServer::Impl
         bool inputDone = false;
         bool broken = false;
         bool wantWrite = false;
+        std::uint32_t events = EPOLLIN; ///< the armed epoll interest
         std::uint64_t linesRead = 0;
 
         std::string outbuf;
@@ -195,6 +197,8 @@ struct TcpServer::Impl
     void shedLine(Conn &conn, QueuedLine line);
     bool flushConn(Conn &conn);
     void setWantWrite(Conn &conn, bool want);
+    void endInput(Conn &conn);
+    void rearm(Conn &conn);
     void closeConn(std::uint64_t sid);
     void beginDrain();
     void sweepConns();
@@ -317,10 +321,30 @@ TcpServer::Impl::wake()
 void
 TcpServer::Impl::setWantWrite(Conn &conn, bool want)
 {
-    if (conn.wantWrite == want)
-        return;
     conn.wantWrite = want;
-    watch(EPOLL_CTL_MOD, conn.fd, conn.sid, EPOLLIN | (want ? EPOLLOUT : 0u));
+    rearm(conn);
+}
+
+void
+TcpServer::Impl::endInput(Conn &conn)
+{
+    conn.inputDone = true;
+    rearm(conn);
+}
+
+void
+TcpServer::Impl::rearm(Conn &conn)
+{
+    // Input is watched until it is done: a peer's EOF stays readable,
+    // and level-triggered polling would return to it at once for as
+    // long as the connection waits on answers.  Output is watched
+    // only while a send would block.
+    const std::uint32_t events = (conn.inputDone ? 0u : EPOLLIN) |
+                                 (conn.wantWrite ? EPOLLOUT : 0u);
+    if (events == conn.events)
+        return;
+    conn.events = events;
+    watch(EPOLL_CTL_MOD, conn.fd, conn.sid, events);
 }
 
 bool
@@ -379,7 +403,7 @@ TcpServer::Impl::acceptClients(std::uint64_t tag)
         conn->http = http;
         if (!http)
             queue.addSession(conn->sid);
-        if (!watch(EPOLL_CTL_ADD, client, conn->sid, EPOLLIN)) {
+        if (!watch(EPOLL_CTL_ADD, client, conn->sid, conn->events)) {
             queue.removeSession(conn->sid);
             ::close(client);
             continue;
@@ -532,7 +556,7 @@ TcpServer::Impl::readHttpRequest(Conn &conn, const char *bytes,
         conn.raw.find("\n\n") == std::string::npos) {
         return;
     }
-    conn.inputDone = true;
+    endInput(conn);
     std::lock_guard<std::mutex> lock(connMtx);
     conn.outbuf = metricsHttpResponse(conn.raw);
     flushConn(conn);
@@ -553,11 +577,12 @@ TcpServer::Impl::readConn(Conn &conn)
         }
         if (draining || conn.inputDone) {
             // During drain the server answers what it admitted and
-            // nothing more; an answered HTTP request ends its input.
-            // Later bytes are consumed and dropped so level-triggered
-            // polling does not spin on them.
+            // nothing more, and drops later bytes so level-triggered
+            // polling does not spin on them.  An answered HTTP
+            // request ends its input: the rest of this read is
+            // dropped, and input is no longer watched.
             if (got == 0) {
-                conn.inputDone = true;
+                endInput(conn);
                 return;
             }
             continue;
@@ -569,7 +594,7 @@ TcpServer::Impl::readConn(Conn &conn)
             continue;
         }
         if (got == 0) {
-            conn.inputDone = true;
+            endInput(conn);
             // A final unterminated line still counts (mirroring the
             // blocking reader's EOF behaviour).
             if (!conn.raw.empty() || !conn.line.empty()) {

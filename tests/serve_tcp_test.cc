@@ -14,6 +14,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <ctime>
 #include <set>
 #include <sstream>
 #include <string>
@@ -813,6 +814,45 @@ TEST(ServeTcp, HalfSentScrapeDoesNotHoldUpDrain)
     ::close(fd);
     waiter.join();
     EXPECT_TRUE(fx.server.drainedByShutdown());
+}
+
+/** CPU time this process has used, user and system, in seconds. */
+double
+processCpuSeconds()
+{
+    timespec ts{};
+    ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) + ts.tv_nsec * 1e-9;
+}
+
+TEST(ServeTcp, HalfClosedSessionDoesNotSpinWhileAnswerPending)
+{
+    // The held dispatcher keeps the answer pending while the peer has
+    // already half-closed: a level-triggered EOF left armed would keep
+    // the I/O thread returning from epoll_wait to a recv() of 0.
+    TcpServerConfig tcp;
+    tcp.dispatchHoldMs = 1500;
+    ServerFixture fx(tcp);
+    const int fd = connectLoopback(fx.server.port());
+    ASSERT_GE(fd, 0);
+    ASSERT_TRUE(sendAll(fd, evalLine(3, defaultDesignPoint()) + "\n"));
+    ::shutdown(fd, SHUT_WR);
+
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    const auto wall0 = std::chrono::steady_clock::now();
+    const double cpu0 = processCpuSeconds();
+    std::this_thread::sleep_for(std::chrono::milliseconds(600));
+    const double cpu = processCpuSeconds() - cpu0;
+    const double wall = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - wall0)
+                            .count();
+    EXPECT_LT(cpu, 0.25 * wall)
+        << cpu << " s of CPU over " << wall << " s of held dispatch";
+
+    const std::string response = readUntilClose(fd);
+    EXPECT_NE(response.find("\"id\": 3"), std::string::npos) << response;
+    EXPECT_NE(response.find("\"type\": \"result\""), std::string::npos)
+        << response;
 }
 
 /** Lowers the soft descriptor limit and restores it on every exit. */
