@@ -122,7 +122,12 @@ narrowU32(std::uint64_t value, std::uint32_t *out)
     return true;
 }
 
-/** Parse a double; false on empty input or trailing garbage. */
+/**
+ * Parse a double; false on empty input, trailing garbage, overflow or
+ * underflow to zero.  A subnormal result is kept: strtod flags it
+ * with ERANGE, but it is still the nearest double, the one
+ * exactDouble() printed.
+ */
 inline bool
 parseF64(const std::string &text, double *out)
 {
@@ -131,7 +136,7 @@ parseF64(const std::string &text, double *out)
     errno = 0;
     char *end = nullptr;
     double v = std::strtod(text.c_str(), &end);
-    if (errno || *end)
+    if (*end || (errno && (v == 0.0 || std::isinf(v))))
         return false;
     *out = v;
     return true;

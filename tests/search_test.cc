@@ -6,13 +6,17 @@
  * Pareto machinery and the memoized evaluation cache.
  */
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <set>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/rng.hh"
 #include "dse/design_space.hh"
 #include "search/eval_cache.hh"
 #include "search/objective.hh"
@@ -88,6 +92,86 @@ TEST(DesignPointIdentity, KeyRoundTripsAwkwardFrequencies)
         auto back = DesignPoint::fromKey(p.toKey());
         ASSERT_TRUE(back.has_value()) << p.toKey();
         EXPECT_EQ(back->freqGHz, freq) << p.toKey();
+    }
+}
+
+constexpr PredictorKind kPredictors[] = {
+    PredictorKind::NotTaken, PredictorKind::Taken,
+    PredictorKind::Bimodal,  PredictorKind::Gshare1K,
+    PredictorKind::Local,    PredictorKind::Hybrid3K5};
+
+/** A finite positive double: any bit pattern, a subnormal, a
+ *  clock-like value, or a magnitude anywhere from 1e-12 to 1e3. */
+double
+anyPositiveFreq(Rng &rng)
+{
+    double v = 0.0;
+    switch (rng.below(4)) {
+      case 0:
+        do {
+            const std::uint64_t bits = rng.next() >> 1; // sign bit clear
+            std::memcpy(&v, &bits, sizeof(v));
+        } while (!std::isfinite(v) || v == 0.0);
+        return v;
+      case 1: {
+        const std::uint64_t bits = 1 + rng.below((1ull << 52) - 1);
+        std::memcpy(&v, &bits, sizeof(v));
+        return v;
+      }
+      case 2:
+        return 0.05 + 5.0 * rng.uniform();
+      default:
+        return std::pow(10.0, -12.0 + 15.0 * rng.uniform());
+    }
+}
+
+/** Uniform in [1, @p max], powers of two and small values favoured. */
+std::uint32_t
+boundedCount(Rng &rng, std::uint32_t max)
+{
+    if (rng.chance(0.5))
+        return std::uint32_t(1) << rng.below(std::bit_width(max));
+    return static_cast<std::uint32_t>(rng.range(1, max));
+}
+
+/** A seeded point with out-of-order fields inside the space bounds. */
+DesignPoint
+seededPoint(Rng &rng)
+{
+    DesignPoint p;
+    p.l2KB = std::uint64_t(1) << rng.below(17);
+    p.l2Assoc = std::uint32_t(1) << rng.below(21);
+    p.depth = static_cast<std::uint32_t>(rng.range(5, 40));
+    p.freqGHz = anyPositiveFreq(rng);
+    p.width = static_cast<std::uint32_t>(rng.range(1, 16));
+    p.predictor = kPredictors[rng.below(std::size(kPredictors))];
+    if (rng.chance(0.75)) {
+        // Each field independently, so keys carry any subset of the
+        // optional out-of-order fields.
+        auto maybe = [&rng](std::uint32_t *field, std::uint32_t max) {
+            if (rng.chance(0.6))
+                *field = boundedCount(rng, max);
+        };
+        maybe(&p.ooo.robSize, SpaceSpec::kMaxRobSize);
+        maybe(&p.ooo.iqSize, SpaceSpec::kMaxIqSize);
+        maybe(&p.ooo.fuAlu, SpaceSpec::kMaxFuCount);
+        maybe(&p.ooo.fuMul, SpaceSpec::kMaxFuCount);
+        maybe(&p.ooo.fuMem, SpaceSpec::kMaxFuCount);
+        maybe(&p.ooo.fuBr, SpaceSpec::kMaxFuCount);
+        maybe(&p.ooo.resultBuses, SpaceSpec::kMaxResultBuses);
+    }
+    return p;
+}
+
+TEST(DesignPointIdentity, KeyRoundTripsSeededPoints)
+{
+    Rng rng(0x6b657973ull);
+    for (int i = 0; i < 20000; ++i) {
+        const DesignPoint p = seededPoint(rng);
+        const std::string key = p.toKey();
+        const auto back = DesignPoint::fromKey(key);
+        ASSERT_TRUE(back.has_value()) << key;
+        ASSERT_TRUE(*back == p) << key << " came back as " << back->toKey();
     }
 }
 
@@ -260,6 +344,76 @@ TEST(SpaceSpec, DescribeReparsesToSameSpace)
         for (std::uint64_t i : {std::uint64_t(0), spec.size() - 1})
             EXPECT_TRUE(again.at(i) == spec.at(i));
         EXPECT_EQ(again.describe(), spec.describe());
+    }
+}
+
+/** @p n distinct values drawn by @p draw, in drawn order. */
+template <typename T, typename Draw>
+std::vector<T>
+distinct(std::size_t n, Draw draw)
+{
+    std::vector<T> values;
+    while (values.size() < n) {
+        T v = draw();
+        if (std::find(values.begin(), values.end(), v) == values.end())
+            values.push_back(v);
+    }
+    return values;
+}
+
+/** A seeded spec that passes check(): one or two values per axis,
+ *  and out-of-order axes on half of them. */
+SpaceSpec
+seededSpec(Rng &rng)
+{
+    auto count = [&rng] { return 1 + static_cast<std::size_t>(rng.below(2)); };
+    SpaceSpec spec = SpaceSpec::single(defaultDesignPoint());
+    spec.l2KB = distinct<std::uint64_t>(count(), [&rng] {
+        return std::uint64_t(64) << rng.below(11);
+    });
+    spec.l2Assoc = distinct<std::uint32_t>(count(), [&rng] {
+        return std::uint32_t(1) << rng.below(11); // 64 KiB holds 1024 ways
+    });
+    spec.depthFreq = distinct<DepthFreq>(count(), [&rng] {
+        return DepthFreq{static_cast<std::uint32_t>(rng.range(5, 40)),
+                         anyPositiveFreq(rng)};
+    });
+    spec.width = distinct<std::uint32_t>(count(), [&rng] {
+        return static_cast<std::uint32_t>(rng.range(1, 16));
+    });
+    spec.predictor = distinct<PredictorKind>(count(), [&rng] {
+        return kPredictors[rng.below(std::size(kPredictors))];
+    });
+    if (rng.chance(0.5)) {
+        auto axis = [&](std::uint32_t lo, std::uint32_t max) {
+            return distinct<std::uint32_t>(count(), [&] {
+                return std::max(lo, boundedCount(rng, max));
+            });
+        };
+        spec.robSize = axis(16, SpaceSpec::kMaxRobSize); // >= every width
+        spec.iqSize = axis(1, SpaceSpec::kMaxIqSize);
+        spec.fuAlu = axis(1, SpaceSpec::kMaxFuCount);
+        spec.fuMul = axis(1, SpaceSpec::kMaxFuCount);
+        spec.fuMem = axis(1, SpaceSpec::kMaxFuCount);
+        spec.fuBr = axis(1, SpaceSpec::kMaxFuCount);
+        spec.resultBuses = axis(1, SpaceSpec::kMaxResultBuses);
+    }
+    return spec;
+}
+
+TEST(SpaceSpec, DescribeRoundTripsSeededSpecs)
+{
+    Rng rng(0x73706563ull);
+    for (int i = 0; i < 300; ++i) {
+        const SpaceSpec spec = seededSpec(rng);
+        ASSERT_EQ(spec.check(), "");
+        const std::string text = spec.describe();
+        std::string error;
+        const auto again = SpaceSpec::tryParse(text, &error);
+        ASSERT_TRUE(again.has_value()) << text << ": " << error;
+        ASSERT_EQ(again->size(), spec.size()) << text;
+        for (std::uint64_t p = 0; p < spec.size(); ++p)
+            ASSERT_TRUE(again->at(p) == spec.at(p)) << text << " at " << p;
     }
 }
 
