@@ -12,6 +12,7 @@
  *   characterize_infer full machine characterizations   inferences/s
  *   model_eval         analytical model evaluations     evals/s
  *   profile_roundtrip  .mprof save + load round trip    roundtrips/s
+ *   json_number        json::writeNumber, CPI-like      values/s
  *   dse_scaling        parallel DSE sweep, 1..N thr     evals/s
  *   search_pareto      genetic Pareto search + cache    evals/s
  *   serve_throughput   warm mech_serve session          requests/s
@@ -23,8 +24,10 @@
  * nonzero on any slowdown beyond --max-slowdown — the CI perf gate.
  */
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <functional>
 #include <iostream>
 #include <memory>
@@ -278,6 +281,43 @@ runProfileRoundtrip(Fixture &fx, const bench::MeasureOptions &opts,
         opts);
     report.add(kSuite, "profile_roundtrip", "throughput", m.rate(1.0),
                "roundtrips/s");
+}
+
+/**
+ * Serialization layer: shortest round-trip doubles through
+ * json::writeNumber, the formatter behind every response, report and
+ * key.  Records the best repetition as "throughput" (the gated
+ * metric, like every record) plus the median and the slowest.
+ */
+void
+runJsonNumber(Fixture &, const bench::MeasureOptions &opts,
+              bench::BenchReport &report)
+{
+    // CPI stacks, energies and latencies: 1e-3 .. 1e3, full precision.
+    constexpr std::size_t kValues = 4096;
+    std::vector<double> values(kValues);
+    Rng rng(0x6a736f6eull);
+    for (double &v : values)
+        v = std::pow(10.0, -3.0 + 6.0 * rng.uniform());
+    std::ostringstream os;
+    auto m = bench::measure(
+        [&] {
+            os.str("");
+            for (double v : values) {
+                json::writeNumber(os, v);
+                os.put(',');
+            }
+            bench::doNotOptimize(os.tellp());
+        },
+        opts);
+    std::vector<double> reps = m.repSecondsPerIter;
+    std::sort(reps.begin(), reps.end());
+    const double n = static_cast<double>(kValues);
+    report.add(kSuite, "json_number", "throughput", m.rate(n), "values/s");
+    report.add(kSuite, "json_number", "throughput_median",
+               n / reps[reps.size() / 2], "values/s");
+    report.add(kSuite, "json_number", "throughput_min", n / reps.back(),
+               "values/s");
 }
 
 void
@@ -535,6 +575,9 @@ allBenchmarks()
         {"profile_roundtrip",
          ".mprof artifact save+load round trips per second",
          runProfileRoundtrip},
+        {"json_number",
+         "shortest round-trip doubles through json::writeNumber",
+         runJsonNumber},
         {"dse_scaling",
          "parallel DSE sweep throughput at 1..--threads workers",
          runDseScaling},
