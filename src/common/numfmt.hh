@@ -2,7 +2,14 @@
  * @file
  * Numeric formatting and strict parsing shared by the
  * round-trippable string codecs (DesignPoint::toKey()/fromKey(),
- * SpaceSpec::describe()/tryParse()).
+ * SpaceSpec::describe()/tryParse()) and every JSON number
+ * (json::writeNumber).
+ *
+ * Doubles print as printf("%.Pg") with the smallest precision P that
+ * parses back bit-identically; P starts at the digit count of
+ * std::to_chars' shortest round-trip form (formatExactDouble()).
+ * Formatting and the round-trip check go through <charconv>, so the
+ * output does not depend on LC_NUMERIC.
  *
  * Both sides of every round-trip pair must use these one
  * definitions: a second hand-rolled copy is exactly how silent
@@ -41,9 +48,8 @@ constexpr std::size_t kExactDoubleChars = 32;
  * of two the interval that rounds to @p value is narrower below it
  * than above, so the correctly rounded P-digit form can miss it while
  * the shortest form does not; P then steps up until the check holds.
- * Both formatting and the check ignore the locale, so the output does
- * not depend on LC_NUMERIC.  Non-finite values print as glibc's printf
- * does: "inf", "-inf", "nan", "-nan".
+ * Non-finite values print as glibc's printf does: "inf", "-inf",
+ * "nan", "-nan".
  */
 inline std::size_t
 formatExactDouble(double value, char (&out)[kExactDoubleChars])
