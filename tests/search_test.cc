@@ -125,7 +125,7 @@ anyPositiveFreq(Rng &rng)
     }
 }
 
-/** Uniform in [1, @p max], powers of two and small values favoured. */
+/** A count in [1, @p max]: half the time a power of two, else uniform. */
 std::uint32_t
 boundedCount(Rng &rng, std::uint32_t max)
 {
