@@ -1,5 +1,6 @@
 #include "cache/stack_sim.hh"
 
+#include <algorithm>
 #include <bit>
 #include <utility>
 
@@ -95,30 +96,52 @@ StackDistanceSimulator::rehash()
 }
 
 void
+StackDistanceSimulator::growSlab(SetList &s)
+{
+    const std::uint64_t cap = s.count;
+    const std::uint64_t grown =
+        std::min<std::uint64_t>(maxAssoc, cap == 0 ? 1 : 2 * cap);
+    if (cap != 0 && s.base + cap == pool.size()) {
+        pool.resize(s.base + grown);
+        return;
+    }
+    const std::size_t base = pool.size();
+    MECH_ASSERT(base + grown < kNil, "stack simulator node pool overflow");
+    pool.resize(base + grown);
+    std::copy_n(pool.begin() + s.base, s.count, pool.begin() + base);
+    s.base = static_cast<std::uint32_t>(base);
+}
+
+void
 StackDistanceSimulator::insertCold(SetList &s, std::uint64_t block)
 {
     std::uint32_t idx;
-    if (s.nodes.size() < maxAssoc) {
-        idx = static_cast<std::uint32_t>(s.nodes.size());
-        s.nodes.push_back({block, kNil, kNil});
+    if (s.count < maxAssoc) {
+        // A slab's capacity is the next power of two of its count
+        // (capped at maxAssoc), so a count at a power of two is full.
+        if (std::has_single_bit(s.count) || s.count == 0)
+            growSlab(s);
+        idx = s.count++;
+        pool[s.base + idx] = {block, kNil, kNil};
     } else {
         // Set full: recycle the LRU node's slot for the new block.
         idx = s.tail;
-        Node &victim = s.nodes[idx];
+        Node &victim = pool[s.base + idx];
         mapErase(victim.block);
         s.tail = victim.prev;
         if (s.tail != kNil)
-            s.nodes[s.tail].next = kNil;
+            pool[s.base + s.tail].next = kNil;
         else
             s.head = kNil;
         victim.block = block;
     }
 
-    Node &n = s.nodes[idx];
+    Node *nodes = pool.data() + s.base;
+    Node &n = nodes[idx];
     n.prev = kNil;
     n.next = s.head;
     if (s.head != kNil)
-        s.nodes[s.head].prev = idx;
+        nodes[s.head].prev = idx;
     s.head = idx;
     if (s.tail == kNil)
         s.tail = idx;

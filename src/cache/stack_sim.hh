@@ -12,14 +12,28 @@
  * study this way, one pass per set count.
  *
  * Implementation: each set keeps its recency order as an intrusive
- * doubly-linked list over a fixed arena of at most maxTrackedAssoc
- * nodes, with a block -> node hash map in front.  A hit walks the
- * list only down to the block's depth and relinks in O(1); a miss is
- * O(1) plus one hash update.  Per-access cost is therefore
+ * doubly-linked list over a slab of at most maxTrackedAssoc nodes,
+ * with a block -> node hash map in front.  A hit walks the list only
+ * down to the block's depth and relinks in O(1); a miss is O(1) plus
+ * one hash update.  Per-access cost is therefore
  * O(min(hit depth, max_assoc)) instead of the O(stack size) scan +
  * shift of the naive vector-of-tags formulation, while the distance
  * histogram stays bit-identical (golden-tested against the reference
  * implementation in tests/cache_test.cc).
+ *
+ * Storage: every set's slab lives in one node pool per simulator, so
+ * a set costs a 16 B header (slab base, node count, head, tail) and
+ * no heap allocation of its own.  A slab is contiguous, which keeps
+ * the depth walk on a few cache lines; sets never share one.  Its
+ * capacity is derived from the count: the next power of two, capped
+ * at maxTrackedAssoc.  A full slab below the cap doubles: in place
+ * when it is the pool's last slab, otherwise by moving to the pool's
+ * end and leaving its old nodes behind.  Links are slab-relative, so
+ * a move copies nodes without touching the map.  A slab is less than
+ * twice its set's blocks and the slabs it left behind are smaller
+ * than it together, so the pool stays under four nodes per block
+ * held: a one-set 2^20-way L2 costs what its stream touches, not
+ * 2^20 nodes up front.
  *
  * The map is a flat open-addressing table (linear probing, tombstone
  * deletion, amortized doubling) rather than std::unordered_map: a
@@ -110,21 +124,25 @@ class StackDistanceSimulator
         /** Global block number (the hash-map key). */
         std::uint64_t block;
 
-        /** Neighbours in recency order (indices into the set arena). */
+        /** Neighbours in recency order (indices into the set's slab). */
         std::uint32_t prev;
         std::uint32_t next;
     };
 
-    /** Recency list of one set, backed by a capped arena. */
+    /** Recency list of one set: a slab of the node pool. */
     struct SetList
     {
-        /** Node arena; grows to maxAssoc, then slots are recycled. */
-        std::vector<Node> nodes;
+        /** Pool index of the slab's first node. */
+        std::uint32_t base = 0;
+
+        /** Nodes in use; grows to maxAssoc, then slots are recycled. */
+        std::uint32_t count = 0;
 
         /** Most- and least-recently-used node, or kNil when empty. */
         std::uint32_t head = kNil;
         std::uint32_t tail = kNil;
     };
+    static_assert(sizeof(SetList) == 16);
 
     /** One slot of the flat block -> node map. */
     struct MapSlot
@@ -161,6 +179,9 @@ class StackDistanceSimulator
     /** Cold path of access(): install a block seen cold or deep. */
     void insertCold(SetList &s, std::uint64_t block);
 
+    /** Double @p s's full slab (see the file comment). */
+    void growSlab(SetList &s);
+
     /** Insert block -> node (block must be absent). */
     void mapInsert(std::uint64_t block, std::uint32_t node);
 
@@ -179,6 +200,9 @@ class StackDistanceSimulator
 
     /** Per-set recency lists, MRU first, depth-capped at maxAssoc. */
     std::vector<SetList> stacks;
+
+    /** Every set's slab, back to back (see the file comment). */
+    std::vector<Node> pool;
 
     /** Flat open-addressing map: resident block -> node slot. */
     std::vector<MapSlot> table;
@@ -203,13 +227,14 @@ StackDistanceSimulator::access(Addr addr)
 {
     const std::uint64_t block = addr >> blockShift;
     SetList &s = stacks[block & (numSets - 1)];
+    Node *nodes = pool.data() + s.base;
 
     ++total;
 
     // Re-reference of the most recent block in the set: no recency
     // change, no hash lookup.  This is the hottest path for streams
     // with spatial locality.
-    if (s.head != kNil && s.nodes[s.head].block == block) {
+    if (s.head != kNil && nodes[s.head].block == block) {
         distances.add(1);
         return 1;
     }
@@ -227,21 +252,21 @@ StackDistanceSimulator::access(Addr addr)
     // bounded by the hit depth, and the relink is O(1).
     const std::uint32_t idx = table[map_pos].node;
     std::uint64_t depth = 2;
-    for (std::uint32_t cur = s.nodes[s.head].next; cur != idx;
-         cur = s.nodes[cur].next) {
+    for (std::uint32_t cur = nodes[s.head].next; cur != idx;
+         cur = nodes[cur].next) {
         ++depth;
     }
     distances.add(depth);
 
-    Node &n = s.nodes[idx];
-    s.nodes[n.prev].next = n.next;
+    Node &n = nodes[idx];
+    nodes[n.prev].next = n.next;
     if (n.next != kNil)
-        s.nodes[n.next].prev = n.prev;
+        nodes[n.next].prev = n.prev;
     else
         s.tail = n.prev;
     n.prev = kNil;
     n.next = s.head;
-    s.nodes[s.head].prev = idx;
+    nodes[s.head].prev = idx;
     s.head = idx;
     return depth;
 }

@@ -83,21 +83,27 @@ DseStudy::loadOrProfile(const std::string &dir,
                         const BenchmarkProfile &bench,
                         InstCount trace_len)
 {
-    if (!dir.empty()) {
-        std::string path = profileArtifactPath(dir, bench.name);
-        if (std::filesystem::exists(path)) {
-            try {
-                return load(path);
-            } catch (const ProfileIoError &e) {
-                // A damaged artifact is a user-input problem, not a
-                // library bug: report it cleanly instead of letting
-                // the exception escape (or terminate a worker).
-                fatal("cannot load profile artifact '", path,
-                      "': ", e.what());
-            }
-        }
-    }
+    if (std::optional<DseStudy> loaded = tryLoad(dir, bench.name))
+        return std::move(*loaded);
     return DseStudy(bench, trace_len);
+}
+
+std::optional<DseStudy>
+DseStudy::tryLoad(const std::string &dir, const std::string &name)
+{
+    if (dir.empty())
+        return std::nullopt;
+    std::string path = profileArtifactPath(dir, name);
+    if (!std::filesystem::exists(path))
+        return std::nullopt;
+    try {
+        return load(path);
+    } catch (const ProfileIoError &e) {
+        // A damaged artifact is a user-input problem, not a library
+        // bug: report it cleanly instead of letting the exception
+        // escape (or terminate a worker).
+        fatal("cannot load profile artifact '", path, "': ", e.what());
+    }
 }
 
 const MemoryStats *
@@ -133,6 +139,13 @@ DseStudy::prepare(const std::vector<DesignPoint> &points)
         for (std::size_t i = 0; i < group.size(); ++i)
             l2Memo.emplace(group[i], std::move(stats[i]));
     }
+}
+
+bool
+DseStudy::covers(const std::vector<DesignPoint> &points) const
+{
+    return std::all_of(points.begin(), points.end(),
+                       [this](const DesignPoint &p) { return findMemo(p); });
 }
 
 void

@@ -122,9 +122,9 @@ struct PointEvaluation
 /**
  * Per-benchmark design-space study.
  *
- * Holds the generated trace and the captured profile; evaluations of
- * individual points are cheap (model backends) or trace-replaying
- * (simulator backends).
+ * Holds the captured profile and, unless dropTrace() released it, the
+ * generated trace; evaluations of individual points are cheap (model
+ * backends) or trace-replaying (simulator backends).
  */
 class DseStudy
 {
@@ -151,6 +151,14 @@ class DseStudy
     static DseStudy loadOrProfile(const std::string &dir,
                                   const BenchmarkProfile &bench,
                                   InstCount trace_len);
+
+    /**
+     * The study of benchmark @p name loaded from its `.mprof` artifact
+     * under @p dir, or nullopt when @p dir is empty or holds none.  A
+     * damaged artifact is a fatal() user error.
+     */
+    static std::optional<DseStudy> tryLoad(const std::string &dir,
+                                           const std::string &name);
 
     /**
      * Evaluate one design point with every backend in @p backends
@@ -187,6 +195,13 @@ class DseStudy
     void prepare(const std::vector<DesignPoint> &points);
 
     /**
+     * True when every L2 geometry of @p points is profiled or
+     * memoized, so prepare(points) would change nothing.  Reads the
+     * memo: hold off prepare() meanwhile.
+     */
+    bool covers(const std::vector<DesignPoint> &points) const;
+
+    /**
      * Snapshot the study as a serializable artifact.
      *
      * @param include_trace Also embed the dynamic trace so detailed
@@ -208,6 +223,18 @@ class DseStudy
 
     /** True when trace-replaying backends can run on this study. */
     bool hasTrace() const { return !dynTrace.empty(); }
+
+    /**
+     * Release the trace: only trace-replaying backends read it after
+     * profiling, and it is the largest part of a study.
+     */
+    void dropTrace() { dynTrace.clear(); }
+
+    /**
+     * Attach @p trace, e.g. one regenerated after dropTrace().  Not
+     * thread-safe: no evaluation may run concurrently.
+     */
+    void attachTrace(Trace trace) { dynTrace = std::move(trace); }
 
     /** Benchmark name. */
     const std::string &name() const { return benchName; }

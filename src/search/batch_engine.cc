@@ -1,12 +1,14 @@
 #include "search/batch_engine.hh"
 
 #include <algorithm>
+#include <set>
 #include <unordered_set>
 #include <utility>
 
 #include "common/logging.hh"
 #include "obs/registry.hh"
 #include "obs/trace.hh"
+#include "workload/executor.hh"
 
 namespace mech {
 
@@ -97,37 +99,68 @@ BatchEngine::useProfileDir(const std::string &dir)
 
 std::vector<BatchEngine::Study *>
 BatchEngine::studies(const std::vector<BenchmarkProfile> &benches,
-                     ThreadPool &pool)
+                     const BackendSet &backends, ThreadPool &pool)
 {
+    const bool needs_trace =
+        std::any_of(backends.begin(), backends.end(),
+                    [](const EvalBackend *b) { return b->needsTrace(); });
+
     // The lock covers lookup and building: a concurrent caller naming
     // a benchmark being profiled waits for it instead of profiling it
     // a second time.
     std::lock_guard<std::mutex> lock(mtx);
     std::vector<const BenchmarkProfile *> missing;
+    std::vector<std::pair<const BenchmarkProfile *, Study *>> retrace;
     for (const BenchmarkProfile &bench : benches) {
-        if (!byName.count(bench.name) &&
-            std::none_of(missing.begin(), missing.end(),
-                         [&](const BenchmarkProfile *m) {
-                             return m->name == bench.name;
-                         })) {
-            missing.push_back(&bench);
+        auto named = [&](const BenchmarkProfile *m) {
+            return m->name == bench.name;
+        };
+        auto it = byName.find(bench.name);
+        if (it == byName.end()) {
+            if (std::none_of(missing.begin(), missing.end(), named))
+                missing.push_back(&bench);
+        } else if (needs_trace && it->second->traceDropped &&
+                   std::none_of(retrace.begin(), retrace.end(),
+                                [&](const auto &r) { return named(r.first); })) {
+            retrace.emplace_back(&bench, it->second.get());
         }
     }
     // Profiling is the expensive part of a cold benchmark: one task
-    // each.  parallelFor retires every task before it rethrows, so no
-    // task outlives the locals it references.
+    // each, and one per trace to regenerate.  parallelFor retires
+    // every task before it rethrows, so no task outlives the locals
+    // it references.
     std::vector<std::unique_ptr<DseStudy>> built(missing.size());
+    std::vector<char> dropped(missing.size(), 0);
     pool.parallelFor(
-        missing.size(), 1, [&](std::size_t begin, std::size_t end) {
-            for (std::size_t m = begin; m < end; ++m) {
-                built[m] = std::make_unique<DseStudy>(DseStudy::loadOrProfile(
-                    profileDir, *missing[m], traceLen));
+        missing.size() + retrace.size(), 1,
+        [&](std::size_t begin, std::size_t end) {
+            for (std::size_t t = begin; t < end; ++t) {
+                if (t >= missing.size()) {
+                    const auto &[bench, study] = retrace[t - missing.size()];
+                    Trace trace = generateTrace(*bench, traceLen);
+                    std::unique_lock<std::shared_mutex> writer(study->rw);
+                    study->study->attachTrace(std::move(trace));
+                    continue;
+                }
+                const BenchmarkProfile &bench = *missing[t];
+                if (auto loaded = DseStudy::tryLoad(profileDir, bench.name)) {
+                    built[t] = std::make_unique<DseStudy>(std::move(*loaded));
+                    continue;
+                }
+                built[t] = std::make_unique<DseStudy>(bench, traceLen);
+                if (!needs_trace) {
+                    built[t]->dropTrace();
+                    dropped[t] = 1;
+                }
             }
         });
+    for (auto &[bench, study] : retrace)
+        study->traceDropped = false;
     for (std::size_t m = 0; m < missing.size(); ++m) {
         auto entry = std::make_unique<Study>();
         entry->study = std::move(built[m]);
         entry->seq = byName.size();
+        entry->traceDropped = dropped[m];
         byName.emplace(missing[m]->name, std::move(entry));
     }
 
@@ -143,13 +176,32 @@ BatchEngine::prepare(const std::vector<Study *> &set,
                      const std::vector<DesignPoint> &points,
                      ThreadPool &pool) const
 {
+    // The memo is keyed by L2 geometry alone: one point per geometry
+    // stands for the batch.
+    std::vector<DesignPoint> geometries;
+    std::set<std::pair<std::uint64_t, std::uint32_t>> seen;
+    for (const DesignPoint &point : points) {
+        if (seen.emplace(point.l2KB, point.l2Assoc).second)
+            geometries.push_back(point);
+    }
+    // Only studies whose memo lacks a geometry need the exclusive
+    // pass; after a search's up-front prepare that is none of them.
+    // The check reads the memo under the shared lock, so it cannot
+    // race a writer, and a memo only grows, so a covered study stays
+    // covered.
+    std::vector<Study *> stale;
+    for (Study *s : set) {
+        std::shared_lock<std::shared_mutex> reader(s->rw);
+        if (!s->study->covers(geometries))
+            stale.push_back(s);
+    }
     // One task per study, since the geometries of one study are
     // memoized sequentially; the exclusive lock keeps preparation from
     // overlapping another batch's shared-lock fan-out of that study.
-    pool.parallelFor(set.size(), 1, [&](std::size_t begin, std::size_t end) {
+    pool.parallelFor(stale.size(), 1, [&](std::size_t begin, std::size_t end) {
         for (std::size_t s = begin; s < end; ++s) {
-            std::unique_lock<std::shared_mutex> lock(set[s]->rw);
-            set[s]->study->prepare(points);
+            std::unique_lock<std::shared_mutex> lock(stale[s]->rw);
+            stale[s]->study->prepare(geometries);
         }
     });
 }
@@ -174,7 +226,7 @@ BatchEngine::evaluateMatrix(const std::vector<BenchmarkProfile> &benches,
         evals.inc(benches.size() * points.size());
     }
 
-    const std::vector<Study *> set = studies(benches, pool);
+    const std::vector<Study *> set = studies(benches, backends, pool);
     prepare(set, points, pool);
 
     std::vector<StudyResult> results(benches.size());

@@ -104,6 +104,14 @@ class BatchEngine
 
         /** Exclusive for prepare, shared for the fan-out. */
         std::shared_mutex rw;
+
+        /**
+         * True while the study lacks the trace it was profiled from:
+         * studies() dropped it for callers whose backends never read
+         * one, and regenerates it for the first caller that does.
+         * Guarded by the engine's mutex.
+         */
+        bool traceDropped = false;
     };
 
     /**
@@ -130,14 +138,24 @@ class BatchEngine
      * in parallel across @p pool (one benchmark per task).  Studies
      * are keyed by benchmark name and reused by every later call.
      * Thread-safe.
+     *
+     * A study the engine profiles keeps its trace only when a backend
+     * of @p backends needsTrace(); otherwise the trace is dropped
+     * right after profiling.  A later call whose backends need the
+     * trace regenerates it (traces are deterministic functions of
+     * the benchmark and length, so no result moves) and attaches it
+     * under the study's exclusive lock.  Studies loaded from the
+     * profile directory keep exactly what their artifact holds.
      */
     std::vector<Study *> studies(const std::vector<BenchmarkProfile> &benches,
+                                 const BackendSet &backends,
                                  ThreadPool &pool);
 
     /**
      * Memoize the L2 geometries of @p points in every study of
-     * @p set: one task per study, each holding its study's lock
-     * exclusively.
+     * @p set: one task per study whose memo lacks one, each holding
+     * its study's lock exclusively.  When every memo covers the
+     * geometries (checked under the shared lock) no task runs.
      */
     void prepare(const std::vector<Study *> &set,
                  const std::vector<DesignPoint> &points,

@@ -36,7 +36,7 @@ SearchEvaluator::useProfileDir(const std::string &dir)
 void
 SearchEvaluator::prepare(const SpaceSpec &spec, ThreadPool &pool)
 {
-    studies = engine.studies(benches, pool);
+    studies = engine.studies(benches, backends_, pool);
     if (std::string why = admissionError(spec, spec.describe(), backends_,
                                          &studies[0]->study->profile());
         !why.empty()) {

@@ -399,6 +399,13 @@ SpaceSpec::checkAxes() const
         }
         if (!std::isfinite(df.freqGHz) || df.freqGHz <= 0.0)
             return "frequency must be positive and finite";
+        if (df.freqGHz < kMinFreqGHz || df.freqGHz > kMaxFreqGHz) {
+            std::ostringstream oss;
+            oss << "frequency " << exactDouble(df.freqGHz)
+                << " GHz outside supported [" << kMinFreqGHz << ','
+                << kMaxFreqGHz << ']';
+            return oss.str();
+        }
     }
     for (std::uint32_t w : width) {
         if (w < 1 || w > 16)

@@ -90,6 +90,17 @@ class SpaceSpec
     static constexpr std::uint32_t kMaxResultBuses = 64;
 
     /**
+     * Bounds on the clock frequency in GHz (10 MHz to 100 GHz).  The
+     * delay and energy objectives scale with the clock period, and
+     * fixed-ns latencies become cycles at this clock, so without a
+     * floor a client point such as freq=1e-300 answers "edp": inf,
+     * which no JSON parser accepts.  Inside the bounds every
+     * objective of every admitted point is finite.
+     */
+    static constexpr double kMinFreqGHz = 0.01;
+    static constexpr double kMaxFreqGHz = 100.0;
+
+    /**
      * Number of design-point axes (l2kb, assoc, depth, width, pred,
      * rob, iq, fualu, fumul, fumem, fubr, buses).  The out-of-order
      * axes were appended *least significant* so specs without them

@@ -218,7 +218,7 @@ EvalService::resolveGroup(const ServeRequest &req, std::string *error)
     auto group = std::make_unique<Group>();
     group->key = key;
     group->benchNames = benches;
-    group->studies = engine.studies(profiles, pool);
+    group->studies = engine.studies(profiles, *backends, pool);
     group->backends = std::move(*backends);
     group->objectives = std::move(objectives);
     loadSpill(*group);

@@ -6,11 +6,13 @@
  * Table 2 space, agreement with the plain serial DseStudy loop,
  * ordering, profile reuse across calls, and registry-selected backend
  * sets.  The BatchEngine suite pins the cached path against the
- * matrix path and the shared admission rules.
+ * matrix path, the shared admission rules, and when a study holds
+ * its trace.
  */
 
 #include <chrono>
 #include <cstddef>
+#include <filesystem>
 #include <future>
 #include <mutex>
 #include <shared_mutex>
@@ -25,6 +27,7 @@
 #include "search/objective.hh"
 #include "search/space_spec.hh"
 #include "model/cpi_stack.hh"
+#include "workload/executor.hh"
 #include "workload/suites.hh"
 
 namespace {
@@ -177,11 +180,11 @@ TEST(BatchEngineMatrix, ReusesProfilesAcrossCalls)
     ThreadPool serial(0);
     auto first = engine.evaluateMatrix(benches, points, two);
     const std::vector<BatchEngine::Study *> built =
-        engine.studies(benches, serial);
+        engine.studies(benches, defaultBackends(), serial);
     auto second = engine.evaluateMatrix(benches, points, serial);
     expectSameEvaluations(first, second);
     // The second sweep ran on the very study the first one built.
-    EXPECT_EQ(engine.studies(benches, serial), built);
+    EXPECT_EQ(engine.studies(benches, defaultBackends(), serial), built);
 }
 
 TEST(BatchEngineMatrix, SimulationResultsAreDeterministicToo)
@@ -252,9 +255,9 @@ TEST(BatchEngine, CachedPathMatchesTheMatrixPath)
         EvalCache cache;
         SearchStats stats;
         std::vector<bool> was_hit;
-        auto evals = engine.evaluateCached(engine.studies(benches, pool),
-                                           backends, objs, points, cache,
-                                           pool, stats, &was_hit);
+        const auto set = engine.studies(benches, backends, pool);
+        auto evals = engine.evaluateCached(set, backends, objs, points,
+                                           cache, pool, stats, &was_hit);
         ASSERT_EQ(evals.size(), points.size());
         EXPECT_EQ(stats.requested, 4u);
         EXPECT_EQ(stats.hits, 1u); // the in-batch duplicate
@@ -286,9 +289,8 @@ TEST(BatchEngine, CachedPathMatchesTheMatrixPath)
         }
 
         // A second batch is all hits and evaluates nothing.
-        auto again = engine.evaluateCached(engine.studies(benches, pool),
-                                           backends, objs, points, cache,
-                                           pool, stats, &was_hit);
+        auto again = engine.evaluateCached(set, backends, objs, points,
+                                           cache, pool, stats, &was_hit);
         EXPECT_EQ(again, evals);
         EXPECT_EQ(stats.hits, 5u);
         EXPECT_EQ(stats.misses, 3u);
@@ -320,7 +322,7 @@ TEST(BatchEngine, AllHitBatchTakesNoStudyLock)
     ThreadPool pool(2);
     BatchEngine engine(kLen);
     const std::vector<BatchEngine::Study *> set =
-        engine.studies(benches, pool);
+        engine.studies(benches, defaultBackends(), pool);
     EvalCache cache;
     SearchStats stats;
     engine.evaluateCached(set, defaultBackends(), objs, points, cache,
@@ -337,6 +339,103 @@ TEST(BatchEngine, AllHitBatchTakesNoStudyLock)
     writer.unlock();
     EXPECT_TRUE(finished) << "an all-hit batch waited on a study lock";
     EXPECT_EQ(hits.get().at(0), cache.find(points[0]));
+}
+
+/** Field-by-field equality of two traces. */
+void
+expectSameTrace(const Trace &a, const Trace &b, const std::string &where)
+{
+    ASSERT_EQ(a.size(), b.size()) << where;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        const DynInstr &x = a[i];
+        const DynInstr &y = b[i];
+        if (x.pc != y.pc || x.effAddr != y.effAddr ||
+            x.targetPc != y.targetPc || x.dst != y.dst ||
+            x.src1 != y.src1 || x.src2 != y.src2 || x.op != y.op ||
+            x.taken != y.taken) {
+            FAIL() << where << ": instruction " << i << " differs";
+        }
+    }
+}
+
+TEST(BatchEngine, ModelOnlyStudiesHoldNoTrace)
+{
+    // Only trace-replaying backends read a trace after profiling, so
+    // a study built for model-speed callers drops it; the first
+    // detailed caller gets it back, and later callers keep it.
+    const std::vector<BenchmarkProfile> benches = {profileByName("sha"),
+                                                   profileByName("qsort")};
+    ThreadPool pool(2);
+    BatchEngine engine(kLen);
+    for (const BatchEngine::Study *s :
+         engine.studies(benches, backendSet("model,ooo"), pool)) {
+        EXPECT_FALSE(s->study->hasTrace()) << s->study->name();
+        EXPECT_TRUE(s->traceDropped);
+    }
+    for (const BatchEngine::Study *s :
+         engine.studies(benches, backendSet("model,sim"), pool)) {
+        EXPECT_TRUE(s->study->hasTrace()) << s->study->name();
+        EXPECT_FALSE(s->traceDropped);
+    }
+    for (const BatchEngine::Study *s :
+         engine.studies(benches, defaultBackends(), pool))
+        EXPECT_TRUE(s->study->hasTrace()) << s->study->name();
+
+    // A study first built for a detailed caller keeps its trace.
+    BatchEngine detailed(kLen);
+    for (const BatchEngine::Study *s :
+         detailed.studies(benches, backendSet("oosim"), pool))
+        EXPECT_TRUE(s->study->hasTrace()) << s->study->name();
+}
+
+TEST(BatchEngine, ProfileDirStudiesKeepWhatTheyLoaded)
+{
+    // A loaded artifact is the profile: the engine neither drops the
+    // trace it carries nor regenerates the one it lacks.
+    const std::string dir = ::testing::TempDir() + "batch_engine_mprof";
+    std::filesystem::create_directories(dir);
+    DseStudy(profileByName("sha"), kLen)
+        .save(profileArtifactPath(dir, "sha"), true);
+    DseStudy(profileByName("dijkstra"), kLen)
+        .save(profileArtifactPath(dir, "dijkstra"), false);
+    const std::vector<BenchmarkProfile> benches = {profileByName("sha"),
+                                                   profileByName("dijkstra")};
+    ThreadPool pool(2);
+    BatchEngine engine(kLen, dir);
+    for (const BackendSet &backends : {defaultBackends(), backendSet("sim")}) {
+        const auto set = engine.studies(benches, backends, pool);
+        EXPECT_TRUE(set[0]->study->hasTrace());
+        EXPECT_FALSE(set[1]->study->hasTrace());
+        EXPECT_FALSE(set[0]->traceDropped);
+        EXPECT_FALSE(set[1]->traceDropped);
+    }
+    std::filesystem::remove_all(dir);
+}
+
+TEST(BatchEngine, RegeneratedTraceMatchesTheOriginal)
+{
+    // Every MiBench study is built model-only (trace dropped), then
+    // asked for by a detailed caller (trace regenerated).  The trace
+    // must equal a fresh generateTrace instruction for instruction,
+    // and both simulators must answer bit for bit what they answer on
+    // studies that never dropped theirs.
+    const std::vector<BenchmarkProfile> benches = mibenchSuite();
+    const auto space = table2Space();
+    const std::vector<DesignPoint> points = {space.front(), space.back()};
+    const BackendSet detailed = backendSet("sim,oosim");
+    ThreadPool pool(4);
+
+    BatchEngine engine(kLen);
+    engine.studies(benches, defaultBackends(), pool);
+    const auto set = engine.studies(benches, detailed, pool);
+    for (std::size_t b = 0; b < benches.size(); ++b) {
+        expectSameTrace(set[b]->study->trace(),
+                        generateTrace(benches[b], kLen), benches[b].name);
+    }
+    BatchEngine kept(kLen);
+    expectSameEvaluations(kept.evaluateMatrix(benches, points, pool, detailed),
+                          engine.evaluateMatrix(benches, points, pool,
+                                                detailed));
 }
 
 TEST(BatchEngine, AdmissionRulesShareOneWording)

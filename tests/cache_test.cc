@@ -255,6 +255,38 @@ INSTANTIATE_TEST_SUITE_P(
                       StackEquivParam{1, 4096, 1024, 23},
                       StackEquivParam{1, 512, 2048, 29}));
 
+TEST(StackSim, SparseSetsMatchPerConfigCaches)
+{
+    // An L2-sized set count where most sets stay empty: 512 sets
+    // spread over 2^17 see deep reuse, the rest are never touched.
+    // Every slab grows from empty through its moves, and the single
+    // pass must still agree with a replay at each associativity.
+    constexpr std::uint64_t kSets = std::uint64_t{1} << 17;
+    constexpr std::uint32_t kMaxAssoc = 8;
+    StackDistanceSimulator stack(kSets, 64, kMaxAssoc);
+    std::vector<SetAssocCache> caches;
+    for (std::uint32_t a = 1; a <= kMaxAssoc; a *= 2)
+        caches.emplace_back(CacheConfig{kSets * a * 64, a, 64});
+    std::vector<std::uint64_t> misses(caches.size(), 0);
+
+    Rng rng(37);
+    for (int i = 0; i < 50000; ++i) {
+        const std::uint64_t set = rng.below(512) * (kSets / 512);
+        const std::uint64_t tag = rng.chance(0.7) ? rng.below(6)
+                                                  : rng.below(40);
+        const Addr addr = (tag * kSets + set) * 64;
+        stack.access(addr);
+        for (std::size_t c = 0; c < caches.size(); ++c)
+            misses[c] += caches[c].access(addr) ? 0 : 1;
+    }
+    for (std::size_t c = 0; c < caches.size(); ++c) {
+        const std::uint32_t assoc = 1u << c;
+        EXPECT_EQ(stack.missesForAssoc(assoc), misses[c]) << assoc << "-way";
+    }
+    EXPECT_GT(stack.hitsForAssoc(1), 0u);
+    EXPECT_LT(stack.hitsForAssoc(kMaxAssoc), stack.accesses());
+}
+
 // ---- Golden: optimized simulator == seed algorithm --------------------------------
 //
 // The hash-map + intrusive-list StackDistanceSimulator must be

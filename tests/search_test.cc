@@ -125,6 +125,38 @@ anyPositiveFreq(Rng &rng)
     }
 }
 
+/** An admitted frequency: any bit pattern between the bounds, a
+ *  bound or its inner neighbour, a clock-like value, or a magnitude
+ *  anywhere in range. */
+double
+anyAdmittedFreq(Rng &rng)
+{
+    constexpr double lo = SpaceSpec::kMinFreqGHz;
+    constexpr double hi = SpaceSpec::kMaxFreqGHz;
+    switch (rng.below(4)) {
+      case 0: {
+        // Positive doubles order like their bit patterns.
+        std::uint64_t lo_bits = 0;
+        std::uint64_t hi_bits = 0;
+        std::memcpy(&lo_bits, &lo, sizeof(lo));
+        std::memcpy(&hi_bits, &hi, sizeof(hi));
+        const std::uint64_t bits = lo_bits + rng.below(hi_bits - lo_bits + 1);
+        double v = 0.0;
+        std::memcpy(&v, &bits, sizeof(v));
+        return v;
+      }
+      case 1: {
+        const double edges[] = {lo, std::nextafter(lo, hi), hi,
+                                std::nextafter(hi, lo)};
+        return edges[rng.below(4)];
+      }
+      case 2:
+        return 0.05 + 5.0 * rng.uniform();
+      default:
+        return std::clamp(lo * std::pow(hi / lo, rng.uniform()), lo, hi);
+    }
+}
+
 /** A count in [1, @p max]: half the time a power of two, else uniform. */
 std::uint32_t
 boundedCount(Rng &rng, std::uint32_t max)
@@ -347,6 +379,28 @@ TEST(SpaceSpec, DescribeReparsesToSameSpace)
     }
 }
 
+TEST(SpaceSpec, FrequencyBoundsAdmitTheirEndpointsOnly)
+{
+    constexpr double lo = SpaceSpec::kMinFreqGHz;
+    constexpr double hi = SpaceSpec::kMaxFreqGHz;
+    auto spec = [](double freq) {
+        SpaceSpec s = SpaceSpec::single(defaultDesignPoint());
+        s.depthFreq = {{9, freq}};
+        return s;
+    };
+    for (double ok : {lo, std::nextafter(lo, hi), hi, std::nextafter(hi, lo)})
+        EXPECT_EQ(spec(ok).check(), "") << ok;
+    for (double bad : {std::nextafter(lo, 0.0), std::nextafter(hi, 1e300),
+                       1e-300, 1e300}) {
+        EXPECT_NE(spec(bad).check().find("outside supported [0.01,100]"),
+                  std::string::npos)
+            << bad;
+    }
+    std::string error;
+    EXPECT_FALSE(SpaceSpec::tryParse("depth=9@0.001", &error));
+    EXPECT_EQ(error, "frequency 0.001 GHz outside supported [0.01,100]");
+}
+
 /** @p n distinct values drawn by @p draw, in drawn order. */
 template <typename T, typename Draw>
 std::vector<T>
@@ -376,7 +430,7 @@ seededSpec(Rng &rng)
     });
     spec.depthFreq = distinct<DepthFreq>(count(), [&rng] {
         return DepthFreq{static_cast<std::uint32_t>(rng.range(5, 40)),
-                         anyPositiveFreq(rng)};
+                         anyAdmittedFreq(rng)};
     });
     spec.width = distinct<std::uint32_t>(count(), [&rng] {
         return static_cast<std::uint32_t>(rng.range(1, 16));

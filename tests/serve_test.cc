@@ -26,9 +26,12 @@
 #include "serve/session.hh"
 
 #include "search/objective.hh"
+#include "search/report.hh"
 #include "search/space_spec.hh"
 #include "search/strategy.hh"
 #include "workload/suites.hh"
+
+#include "test_util.hh"
 
 namespace mech::serve {
 namespace {
@@ -374,6 +377,32 @@ TEST(ServeSession, OooAxesNeedAnOooBackend)
     EXPECT_EQ(typeOf(parsedResponse(lines[3])), "error");
 }
 
+TEST(ServeSession, SimAfterAModelOnlyGroupAnswersFreshBytes)
+{
+    // A model-only group builds its studies without their traces; a
+    // later model,sim group on the same benchmark regenerates the
+    // trace and must answer exactly what a fresh server answers when
+    // asked the model,sim request first.
+    const std::string point =
+        "\"point\": \"l2kb=256,assoc=16,depth=7,freq=0.8,width=2,"
+        "pred=hybrid3k5\"";
+    const std::string model_only = "{\"id\": 1, \"type\": \"eval\", "
+                                   "\"bench\": [\"sha\"], " +
+                                   point + "}\n";
+    const std::string with_sim =
+        "{\"id\": 2, \"type\": \"eval\", \"bench\": [\"sha\"], "
+        "\"backends\": [\"model\", \"sim\"], " +
+        point + "}\n";
+    EvalService warmed(testConfig(2));
+    EvalService fresh(testConfig(2));
+    std::vector<std::string> after = serveLines(model_only + with_sim, warmed);
+    std::vector<std::string> first = serveLines(with_sim, fresh);
+    ASSERT_EQ(after.size(), 2u);
+    ASSERT_EQ(first.size(), 1u);
+    EXPECT_EQ(typeOf(parsedResponse(after[1])), "result") << after[1];
+    EXPECT_EQ(after[1], first[0]);
+}
+
 TEST(ServeSession, PathologicalGeometryIsRejectedNotAllocated)
 {
     // A hostile client naming a gigantic L2 must get an error, not
@@ -655,6 +684,148 @@ TEST(ServeOracle, ServedValuesMatchTheStudiesBitForBit)
 }
 
 // ---- batch vs the search engine -------------------------------------------
+
+// ---- every admitted point answers finite JSON -----------------------------
+
+/** Every objective, so each formula meets every bound. */
+constexpr const char *kAllObjectives =
+    "[\"cpi\", \"cycles\", \"delay\", \"bips\", \"energy\", "
+    "\"edp\", \"ed2p\"]";
+
+/** The values at and just inside [lo, hi]. */
+template <typename T>
+std::vector<T>
+edges(T lo, T hi)
+{
+    return {lo, static_cast<T>(lo + 1), static_cast<T>(hi - 1), hi};
+}
+
+std::vector<double>
+freqEdges()
+{
+    constexpr double lo = SpaceSpec::kMinFreqGHz;
+    constexpr double hi = SpaceSpec::kMaxFreqGHz;
+    return {lo, std::nextafter(lo, hi), std::nextafter(hi, lo), hi};
+}
+
+/** A seeded point whose every axis sits at or just inside a bound. */
+DesignPoint
+edgePoint(Rng &rng)
+{
+    auto pick = [&rng](const auto &values) {
+        return values[rng.below(values.size())];
+    };
+    DesignPoint p;
+    const std::uint64_t max_kb = SpaceSpec::kMaxL2KB;
+    p.l2KB = pick(std::vector<std::uint64_t>{1, 2, max_kb / 2, max_kb});
+    // Powers of two up to one set's worth of ways (16 per KiB).
+    p.l2Assoc = std::min<std::uint32_t>(
+        pick(std::vector<std::uint32_t>{1, 2, 1u << 19, 1u << 20}),
+        static_cast<std::uint32_t>(p.l2KB * 16));
+    p.depth = pick(edges<std::uint32_t>(5, UINT32_MAX));
+    p.freqGHz = pick(freqEdges());
+    p.width = pick(edges<std::uint32_t>(1, 16));
+    p.predictor = rng.chance(0.5) ? PredictorKind::Gshare1K
+                                  : PredictorKind::Hybrid3K5;
+    p.ooo.robSize = std::max(p.width,
+                             pick(edges<std::uint32_t>(1, SpaceSpec::kMaxRobSize)));
+    p.ooo.iqSize = pick(edges<std::uint32_t>(1, SpaceSpec::kMaxIqSize));
+    const auto fu = edges<std::uint32_t>(1, SpaceSpec::kMaxFuCount);
+    p.ooo.fuAlu = pick(fu);
+    p.ooo.fuMul = pick(fu);
+    p.ooo.fuMem = pick(fu);
+    p.ooo.fuBr = pick(fu);
+    p.ooo.resultBuses =
+        pick(edges<std::uint32_t>(1, SpaceSpec::kMaxResultBuses));
+    return p;
+}
+
+TEST(ServeProperty, EveryAdmittedEdgeAnswersFiniteJson)
+{
+    // Seeded eval and batch requests at and just inside every axis
+    // bound, through both mechanistic models: every response line
+    // must parse, and every number in it must be finite.  Points just
+    // outside the frequency bounds, the 1e-300 GHz point among them,
+    // must be refused with an error line instead.
+    Rng rng(0x66696e69ull);
+    std::string requests;
+    int id = 0;
+    auto eval = [&](const std::string &key) {
+        requests += "{\"id\": " + std::to_string(++id) +
+                    ", \"type\": \"eval\", \"bench\": [\"sha\"], "
+                    "\"backends\": [\"model\", \"ooo\"], "
+                    "\"objectives\": " +
+                    std::string(kAllObjectives) + ", \"point\": \"" + key +
+                    "\"}\n";
+    };
+    for (int i = 0; i < 64; ++i)
+        eval(edgePoint(rng).toKey());
+    const int admitted = id;
+    for (double bad : {std::nextafter(SpaceSpec::kMinFreqGHz, 0.0),
+                       std::nextafter(SpaceSpec::kMaxFreqGHz, 1e300), 1e-300}) {
+        DesignPoint p = defaultDesignPoint();
+        p.freqGHz = bad;
+        eval(p.toKey());
+    }
+    requests += "{\"id\": " + std::to_string(++id) +
+                ", \"type\": \"eval\", \"bench\": [\"sha\"], "
+                "\"objectives\": [\"cpi\", \"edp\"], \"point\": "
+                "\"l2kb=512,assoc=8,depth=9,freq=1e-300,width=4,"
+                "pred=gshare1k\"}\n";
+
+    // Batches sweep the bounds themselves, through frontierResponse.
+    std::string depth_axis;
+    const auto depths = edges<std::uint32_t>(5, UINT32_MAX);
+    const auto freqs = freqEdges();
+    for (std::size_t i = 0; i < depths.size(); ++i) {
+        if (i)
+            depth_axis += ',';
+        depth_axis += std::to_string(depths[i]) + '@' + exactDouble(freqs[i]);
+    }
+    const std::string inorder_space = "l2kb=1,65536;assoc=1,16;depth=" +
+                                      depth_axis +
+                                      ";width=1,16;pred=gshare1k,hybrid3k5";
+    const std::string ooo_space =
+        "width=1,16;rob=16,4096;iq=1,4096;fualu=1,64;fumul=1,64;"
+        "fumem=1,64;fubr=1,64;buses=1,64";
+    for (const auto &[space, backend] :
+         {std::pair<std::string, std::string>{inorder_space, "model"},
+          {inorder_space, "ooo"},
+          {ooo_space, "ooo"}}) {
+        requests += "{\"id\": " + std::to_string(++id) +
+                    ", \"type\": \"batch\", \"bench\": [\"sha\"], "
+                    "\"backends\": \"" + backend + "\", \"objectives\": " +
+                    std::string(kAllObjectives) + ", \"space\": \"" + space +
+                    "\"}\n";
+    }
+
+    ServeConfig cfg = testConfig(2);
+    EvalService service(cfg);
+    const std::vector<std::string> lines = serveLines(requests, service);
+    ASSERT_EQ(lines.size(), static_cast<std::size_t>(id));
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+        EXPECT_EQ(test::finiteJsonError(lines[i]), "") << lines[i];
+        const std::string type = typeOf(parsedResponse(lines[i]));
+        if (static_cast<int>(i) < admitted || i >= lines.size() - 3) {
+            EXPECT_EQ(type, i < lines.size() - 3 ? "result" : "frontier")
+                << lines[i];
+        } else {
+            EXPECT_EQ(type, "error") << lines[i];
+        }
+    }
+
+    // mech_search's --json report over the in-order bounds space.
+    SearchEvaluator evaluator({profileByName("sha")}, kTraceLen,
+                              parseObjectives("cpi,cycles,delay,bips,energy,"
+                                              "edp,ed2p"));
+    SearchOptions opts;
+    opts.budget = 0;
+    const SearchResult result = runSearch(SpaceSpec::parse(inorder_space),
+                                          "exhaustive", evaluator, opts);
+    std::ostringstream report;
+    writeSearchResultJson(result, report);
+    EXPECT_EQ(test::finiteJsonError(report.str()), "");
+}
 
 TEST(ServeBatch, FrontierMatchesExhaustiveSearch)
 {

@@ -8,12 +8,53 @@
 #ifndef MECH_TESTS_TEST_UTIL_HH
 #define MECH_TESTS_TEST_UTIL_HH
 
+#include <cmath>
 #include <cstdint>
+#include <optional>
+#include <string>
 #include <vector>
 
+#include "common/json.hh"
 #include "mech/mech.hh"
 
 namespace mech::test {
+
+/** Path of the first non-finite number under @p v, or empty. */
+inline std::string
+nonFiniteNumberPath(const json::Value &v, const std::string &at = "$")
+{
+    if (v.isNumber())
+        return std::isfinite(v.number) ? "" : at;
+    for (std::size_t i = 0; i < v.array.size(); ++i) {
+        std::string bad =
+            nonFiniteNumberPath(v.array[i], at + "[" + std::to_string(i) + "]");
+        if (!bad.empty())
+            return bad;
+    }
+    for (const auto &[key, member] : v.object) {
+        std::string bad = nonFiniteNumberPath(member, at + "." + key);
+        if (!bad.empty())
+            return bad;
+    }
+    return "";
+}
+
+/**
+ * Why @p text is not one JSON value whose every number is finite, or
+ * empty when it is.  The oracle for every line a response, report or
+ * gather writes: a client must be able to parse it, and "inf" or
+ * "nan" is not JSON.
+ */
+inline std::string
+finiteJsonError(const std::string &text)
+{
+    std::string error;
+    const std::optional<json::Value> v = json::parse(text, &error);
+    if (!v)
+        return "not JSON (" + error + ")";
+    const std::string bad = nonFiniteNumberPath(*v);
+    return bad.empty() ? "" : "non-finite number at " + bad;
+}
 
 /** Registers 0..7 are never written in micro-traces (always ready). */
 inline constexpr RegIndex kLiveIn = 0;

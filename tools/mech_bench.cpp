@@ -13,6 +13,7 @@
  *   model_eval         analytical model evaluations     evals/s
  *   profile_roundtrip  .mprof save + load round trip    roundtrips/s
  *   json_number        json::writeNumber, CPI-like      values/s
+ *   sweep_l2           cold wide DseStudy::prepare      geometries/s
  *   dse_scaling        parallel DSE sweep, 1..N thr     evals/s
  *   search_pareto      genetic Pareto search + cache    evals/s
  *   serve_throughput   warm mech_serve session          requests/s
@@ -320,6 +321,54 @@ runJsonNumber(Fixture &, const bench::MeasureOptions &opts,
                "values/s");
 }
 
+/**
+ * L2-prepare layer: one study's DseStudy::prepare over every `wide`
+ * L2 geometry, from a cold memo.  A prepared memo turns the next call
+ * into a no-op, so every timed prepare() runs on a study rebuilt,
+ * untimed, from the profile.  Repetitions follow bench::measure():
+ * one warm-up, then prepares until a repetition reaches the time
+ * floor.  Records the best repetition as "throughput" plus the median
+ * and the slowest, like json_number.
+ */
+void
+runSweepL2(Fixture &fx, const bench::MeasureOptions &opts,
+           bench::BenchReport &report)
+{
+    const ProfileArtifact artifact = fx.study().artifact(false);
+    const std::vector<DesignPoint> points = SpaceSpec::wide().l2Geometries();
+    // The profiled default geometry is never swept.
+    const DesignPoint def = defaultDesignPoint();
+    const double n = static_cast<double>(std::count_if(
+        points.begin(), points.end(), [&](const DesignPoint &p) {
+            return p.l2KB != def.l2KB || p.l2Assoc != def.l2Assoc;
+        }));
+    auto timedPrepare = [&] {
+        DseStudy study(artifact);
+        const double t0 = bench::monotonicSeconds();
+        study.prepare(points);
+        return bench::monotonicSeconds() - t0;
+    };
+    for (unsigned i = 0; i < opts.warmupIters; ++i)
+        timedPrepare();
+    std::vector<double> reps;
+    for (unsigned r = 0; r < opts.repetitions; ++r) {
+        double timed = 0.0;
+        std::uint64_t iters = 0;
+        while (iters < opts.minIters || timed < opts.minSeconds) {
+            timed += timedPrepare();
+            ++iters;
+        }
+        reps.push_back(timed / static_cast<double>(iters));
+    }
+    std::sort(reps.begin(), reps.end());
+    report.add(kSuite, "sweep_l2", "throughput", n / reps.front(),
+               "geometries/s");
+    report.add(kSuite, "sweep_l2", "throughput_median",
+               n / reps[reps.size() / 2], "geometries/s");
+    report.add(kSuite, "sweep_l2", "throughput_min", n / reps.back(),
+               "geometries/s");
+}
+
 void
 runDseScaling(Fixture &fx, const bench::MeasureOptions &opts,
               bench::BenchReport &report)
@@ -578,6 +627,9 @@ allBenchmarks()
         {"json_number",
          "shortest round-trip doubles through json::writeNumber",
          runJsonNumber},
+        {"sweep_l2",
+         "cold DseStudy::prepare over every wide L2 geometry (geometries/s)",
+         runSweepL2},
         {"dse_scaling",
          "parallel DSE sweep throughput at 1..--threads workers",
          runDseScaling},
