@@ -119,7 +119,7 @@ StackDistanceSimulator::insertCold(SetList &s, std::uint64_t block)
     if (s.count < maxAssoc) {
         // A slab's capacity is the next power of two of its count
         // (capped at maxAssoc), so a count at a power of two is full.
-        if (std::has_single_bit(s.count) || s.count == 0)
+        if (s.count == 0 || std::has_single_bit(s.count))
             growSlab(s);
         idx = s.count++;
         pool[s.base + idx] = {block, kNil, kNil};

@@ -112,16 +112,17 @@ BatchEngine::studies(const std::vector<BenchmarkProfile> &benches,
     std::vector<const BenchmarkProfile *> missing;
     std::vector<std::pair<const BenchmarkProfile *, Study *>> retrace;
     for (const BenchmarkProfile &bench : benches) {
-        auto named = [&](const BenchmarkProfile *m) {
-            return m->name == bench.name;
-        };
         auto it = byName.find(bench.name);
         if (it == byName.end()) {
-            if (std::none_of(missing.begin(), missing.end(), named))
+            if (std::none_of(missing.begin(), missing.end(),
+                             [&](const BenchmarkProfile *m) {
+                                 return m->name == bench.name;
+                             })) {
                 missing.push_back(&bench);
-        } else if (needs_trace && it->second->traceDropped &&
-                   std::none_of(retrace.begin(), retrace.end(),
-                                [&](const auto &r) { return named(r.first); })) {
+            }
+        } else if (needs_trace && it->second->traceDropped) {
+            // Cleared now, so a benchmark named twice regenerates once.
+            it->second->traceDropped = false;
             retrace.emplace_back(&bench, it->second.get());
         }
     }
@@ -154,8 +155,6 @@ BatchEngine::studies(const std::vector<BenchmarkProfile> &benches,
                 }
             }
         });
-    for (auto &[bench, study] : retrace)
-        study->traceDropped = false;
     for (std::size_t m = 0; m < missing.size(); ++m) {
         auto entry = std::make_unique<Study>();
         entry->study = std::move(built[m]);

@@ -285,10 +285,27 @@ runProfileRoundtrip(Fixture &fx, const bench::MeasureOptions &opts,
 }
 
 /**
+ * Record @p name's best repetition as "throughput" (the gated metric,
+ * like every record) plus the median and the slowest, from the
+ * seconds per iteration of each repetition and @p items per
+ * iteration.
+ */
+void
+addThroughputSpread(bench::BenchReport &report, const char *name,
+                    std::vector<double> reps, double items,
+                    const char *unit)
+{
+    std::sort(reps.begin(), reps.end());
+    report.add(kSuite, name, "throughput", items / reps.front(), unit);
+    report.add(kSuite, name, "throughput_median",
+               items / reps[reps.size() / 2], unit);
+    report.add(kSuite, name, "throughput_min", items / reps.back(), unit);
+}
+
+/**
  * Serialization layer: shortest round-trip doubles through
  * json::writeNumber, the formatter behind every response, report and
- * key.  Records the best repetition as "throughput" (the gated
- * metric, like every record) plus the median and the slowest.
+ * key.  Records the spread of repetitions (addThroughputSpread).
  */
 void
 runJsonNumber(Fixture &, const bench::MeasureOptions &opts,
@@ -311,14 +328,8 @@ runJsonNumber(Fixture &, const bench::MeasureOptions &opts,
             bench::doNotOptimize(os.tellp());
         },
         opts);
-    std::vector<double> reps = m.repSecondsPerIter;
-    std::sort(reps.begin(), reps.end());
-    const double n = static_cast<double>(kValues);
-    report.add(kSuite, "json_number", "throughput", m.rate(n), "values/s");
-    report.add(kSuite, "json_number", "throughput_median",
-               n / reps[reps.size() / 2], "values/s");
-    report.add(kSuite, "json_number", "throughput_min", n / reps.back(),
-               "values/s");
+    addThroughputSpread(report, "json_number", m.repSecondsPerIter,
+                        static_cast<double>(kValues), "values/s");
 }
 
 /**
@@ -327,8 +338,7 @@ runJsonNumber(Fixture &, const bench::MeasureOptions &opts,
  * into a no-op, so every timed prepare() runs on a study rebuilt,
  * untimed, from the profile.  Repetitions follow bench::measure():
  * one warm-up, then prepares until a repetition reaches the time
- * floor.  Records the best repetition as "throughput" plus the median
- * and the slowest, like json_number.
+ * floor.  Records the spread of repetitions (addThroughputSpread).
  */
 void
 runSweepL2(Fixture &fx, const bench::MeasureOptions &opts,
@@ -360,13 +370,8 @@ runSweepL2(Fixture &fx, const bench::MeasureOptions &opts,
         }
         reps.push_back(timed / static_cast<double>(iters));
     }
-    std::sort(reps.begin(), reps.end());
-    report.add(kSuite, "sweep_l2", "throughput", n / reps.front(),
-               "geometries/s");
-    report.add(kSuite, "sweep_l2", "throughput_median",
-               n / reps[reps.size() / 2], "geometries/s");
-    report.add(kSuite, "sweep_l2", "throughput_min", n / reps.back(),
-               "geometries/s");
+    addThroughputSpread(report, "sweep_l2", std::move(reps), n,
+                        "geometries/s");
 }
 
 void
