@@ -21,9 +21,9 @@
  *     "compiler": "gcc 12.2.0",
  *     "build_type": "Release",
  *     "results": [
- *       { "suite": "mech_bench", "benchmark": "stack_distance",
- *         "metric": "throughput", "value": 1.0e8,
- *         "unit": "accesses/s" }
+ *       { "suite": "mech_bench", "benchmark": "sweep_l2",
+ *         "metric": "throughput", "value": 5.0e4,
+ *         "unit": "geometries/s" }
  *     ]
  *   }
  *
@@ -62,7 +62,7 @@ struct BenchRecord
     /** Grouping, usually the emitting program ("mech_bench", "fig5"). */
     std::string suite;
 
-    /** Benchmark name within the suite ("stack_distance"). */
+    /** Benchmark name within the suite ("sweep_l2"). */
     std::string benchmark;
 
     /** Measured quantity ("throughput", "error_avg"). */

@@ -9,7 +9,7 @@
  * deques, so references stay valid for the registry's lifetime.
  *
  * Names are dotted hierarchies ("serve.latency.result",
- * "evalcache.shard3.hits"); the Prometheus renderer maps them to the
+ * "eval.backend.sim.evals"); the Prometheus renderer maps them to the
  * exposition grammar ("mech_serve_latency_result_us_bucket{...}").
  * A registry is an ordinary object — tests build private ones — and
  * global() is the process-wide instance every subsystem shares.

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <set>
-#include <unordered_set>
+#include <unordered_map>
 #include <utility>
 
 #include "common/logging.hh"
@@ -82,11 +82,40 @@ fanOut(const std::vector<BatchEngine::Study *> &set, std::size_t npoints,
     });
 }
 
+/**
+ * The process-wide `evalcache.*` counters, cumulative over every
+ * cache.  evaluateCached() adds each batch's SearchStats once, so
+ * they equal the summed stats of every batch.
+ */
+struct CacheCounters
+{
+    obs::Counter &hits;
+    obs::Counter &misses;
+    obs::Counter &inserts;
+};
+
+CacheCounters &
+cacheCounters()
+{
+    obs::MetricsRegistry &reg = obs::MetricsRegistry::global();
+    static CacheCounters c{
+        reg.counter("evalcache.hits",
+                    "EvalCache lookups answered from the memo or an "
+                    "earlier point of the same batch"),
+        reg.counter("evalcache.misses", "EvalCache lookups that missed"),
+        reg.counter("evalcache.inserts",
+                    "Fresh evaluations published into an EvalCache")};
+    return c;
+}
+
 } // namespace
 
 BatchEngine::BatchEngine(InstCount trace_len, std::string profile_dir)
     : traceLen(trace_len), profileDir(std::move(profile_dir))
 {
+    // Register the cache series up front, so a scrape lists them
+    // before the first batch.
+    cacheCounters();
 }
 
 void
@@ -251,30 +280,33 @@ BatchEngine::evaluateCached(const std::vector<Study *> &set,
                             SearchStats &stats,
                             std::vector<bool> *was_hit) const
 {
-    ++stats.batches;
-
     // Classify hits, in-batch duplicates and fresh misses on this
     // thread, in request order, so accounting never depends on worker
-    // scheduling.
+    // scheduling.  fresh maps a missed point to its missPoints slot,
+    // through which misses and in-batch duplicates resolve after
+    // publishing.
     std::vector<const SearchEval *> out(points.size(), nullptr);
     if (was_hit)
         was_hit->assign(points.size(), false);
     std::vector<DesignPoint> missPoints;
-    std::unordered_set<DesignPoint, DesignPointHash> fresh;
+    std::unordered_map<DesignPoint, std::size_t, DesignPointHash> fresh;
+    std::uint64_t hits = 0;
     for (std::size_t i = 0; i < points.size(); ++i) {
-        ++stats.requested;
-        const SearchEval *hit = cache.find(points[i]);
-        if (hit || fresh.count(points[i])) {
-            out[i] = hit; // a duplicate resolves after publishing
-            if (was_hit)
-                (*was_hit)[i] = true;
-            ++stats.hits;
-        } else {
-            fresh.insert(points[i]);
+        if (const SearchEval *hit = cache.find(points[i])) {
+            out[i] = hit;
+        } else if (fresh.try_emplace(points[i], missPoints.size()).second) {
             missPoints.push_back(points[i]);
-            ++stats.misses;
+            continue;
         }
+        if (was_hit)
+            (*was_hit)[i] = true;
+        ++hits;
     }
+    const std::uint64_t misses = missPoints.size();
+    ++stats.batches;
+    stats.requested += points.size();
+    stats.hits += hits;
+    stats.misses += misses;
 
     // Fan the misses out; each cell writes only its own perBench
     // slots.
@@ -316,15 +348,20 @@ BatchEngine::evaluateCached(const std::vector<Study *> &set,
         }
     }
 
-    // Publish in request order.
+    // Publish in request order; a miss or duplicate takes the entry
+    // its slot's insert() returned.
+    std::vector<const SearchEval *> published;
+    published.reserve(computed.size());
     for (SearchEval &eval : computed)
-        cache.insert(std::move(eval));
+        published.push_back(&cache.insert(std::move(eval)));
     for (std::size_t i = 0; i < points.size(); ++i) {
-        if (!out[i]) {
-            out[i] = cache.find(points[i]);
-            MECH_ASSERT(out[i], "fresh evaluation missing from cache");
-        }
+        if (!out[i])
+            out[i] = published[fresh.find(points[i])->second];
     }
+    CacheCounters &counters = cacheCounters();
+    counters.hits.inc(hits);
+    counters.misses.inc(misses);
+    counters.inserts.inc(misses);
     return out;
 }
 

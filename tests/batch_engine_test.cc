@@ -6,8 +6,9 @@
  * Table 2 space, agreement with the plain serial DseStudy loop,
  * ordering, profile reuse across calls, and registry-selected backend
  * sets.  The BatchEngine suite pins the cached path against the
- * matrix path, the shared admission rules, and when a study holds
- * its trace.
+ * matrix path, the shared admission rules, when a study holds its
+ * trace, that the fan-out runs cells concurrently, and that the
+ * evalcache.* counters match the batch stats.
  */
 
 #include <chrono>
@@ -27,6 +28,8 @@
 #include "search/objective.hh"
 #include "search/space_spec.hh"
 #include "model/cpi_stack.hh"
+#include "obs/registry.hh"
+#include "test_util.hh"
 #include "workload/executor.hh"
 #include "workload/suites.hh"
 
@@ -149,10 +152,9 @@ TEST(BatchEngineMatrix, ShardsMultipleBenchmarksDeterministically)
 
 TEST(BatchEngineMatrix, BitIdenticalAcrossTheThreadLadderOnOneRunner)
 {
-    // The dse_scaling benchmark's shape: ONE engine swept repeatedly
-    // through pools of 1, 2 and 8 workers, so every ladder step reuses
-    // the same warmed studies.  Every step must be bit-identical to
-    // the serial sweep — the invariant the scaling fix must not bend.
+    // ONE engine swept repeatedly through pools of 1, 2 and 8
+    // workers, so every ladder step reuses the same warmed studies.
+    // Every step must be bit-identical to the serial sweep.
     auto space = table2Space();
     std::vector<DesignPoint> points(space.begin(), space.begin() + 48);
     const std::vector<BenchmarkProfile> benches = {profileByName("sha"),
@@ -166,6 +168,26 @@ TEST(BatchEngineMatrix, BitIdenticalAcrossTheThreadLadderOnOneRunner)
         auto step = engine.evaluateMatrix(benches, points, pool);
         expectSameEvaluations(one, step);
     }
+}
+
+TEST(BatchEngine, FanOutRunsCellsConcurrently)
+{
+    // A detailed backend shards one cell per chunk, so 2 benchmarks x
+    // 8 points on 4 workers must put 4 evaluations in flight at once.
+    // A serialized fan-out reaches 1 and fails after the bound.
+    test::RendezvousBackend rendezvous("rendezvous", 4);
+    const BackendSet backends = {&rendezvous};
+    auto space = table2Space();
+    std::vector<DesignPoint> points(space.begin(), space.begin() + 8);
+    const std::vector<BenchmarkProfile> benches = {profileByName("sha"),
+                                                   profileByName("gsm_c")};
+
+    ThreadPool pool(4);
+    BatchEngine engine(kLen);
+    auto results = engine.evaluateMatrix(benches, points, pool, backends);
+    ASSERT_EQ(results.size(), benches.size());
+    EXPECT_GE(rendezvous.peak(), 4u)
+        << "the fan-out never had 4 evaluations in flight";
 }
 
 TEST(BatchEngineMatrix, ReusesProfilesAcrossCalls)
@@ -296,6 +318,43 @@ TEST(BatchEngine, CachedPathMatchesTheMatrixPath)
         EXPECT_EQ(stats.misses, 3u);
         EXPECT_EQ(was_hit, std::vector<bool>(points.size(), true));
     }
+}
+
+TEST(BatchEngine, CacheCountersMatchBatchStats)
+{
+    // The evalcache.* series count each batch once: their deltas equal
+    // the batch's SearchStats, over a fresh batch with an in-batch
+    // duplicate and over a repeat batch answered from the memo.
+    obs::MetricsRegistry &reg = obs::MetricsRegistry::global();
+    const obs::Counter &hits = reg.counter("evalcache.hits");
+    const obs::Counter &misses = reg.counter("evalcache.misses");
+    const obs::Counter &inserts = reg.counter("evalcache.inserts");
+
+    auto space = table2Space();
+    const std::vector<DesignPoint> points = {space[3], space[40], space[3],
+                                             space[191]};
+    const std::vector<Objective> objs = parseObjectives("cpi");
+    ThreadPool pool(2);
+    BatchEngine engine(kLen);
+    const auto set =
+        engine.studies({profileByName("sha")}, defaultBackends(), pool);
+    EvalCache cache;
+    SearchStats stats;
+    for (const char *batch : {"fresh", "repeat"}) {
+        const SearchStats before = stats;
+        const std::uint64_t h0 = hits.value();
+        const std::uint64_t m0 = misses.value();
+        const std::uint64_t i0 = inserts.value();
+        engine.evaluateCached(set, defaultBackends(), objs, points, cache,
+                              pool, stats);
+        EXPECT_EQ(hits.value() - h0, stats.hits - before.hits) << batch;
+        EXPECT_EQ(misses.value() - m0, stats.misses - before.misses)
+            << batch;
+        EXPECT_EQ(inserts.value() - i0, stats.misses - before.misses)
+            << batch;
+    }
+    EXPECT_EQ(stats.hits, 5u);
+    EXPECT_EQ(stats.misses, 3u);
 }
 
 TEST(BatchEngine, MatrixPathAcceptsARepeatedBenchmark)

@@ -2,10 +2,11 @@
  * @file
  * Tests for the concurrent serve front end: AdmissionQueue bounds and
  * fairness, the in-process epoll TcpServer (pipelining, dispatcher
- * byte-identity, overload shedding, graceful drain), byte-identity
- * with the stdio session, the warm-cache restart path, and
- * frontierResponse equivalence between the in-process batch path and
- * a mech_shard-style scatter-gather.
+ * byte-identity, concurrent sessions and dispatchers, overload
+ * shedding, graceful drain), byte-identity with the stdio session,
+ * the warm-cache restart path, and frontierResponse equivalence
+ * between the in-process batch path and a mech_shard-style
+ * scatter-gather.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include <cstdio>
 #include <cstring>
 #include <ctime>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
@@ -25,9 +27,11 @@
 #include <netinet/in.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include "common/json.hh"
+#include "eval/registry.hh"
 #include "obs/registry.hh"
 #include "search/space_spec.hh"
 #include "serve/admission.hh"
@@ -36,6 +40,7 @@
 #include "serve/server.hh"
 #include "serve/service.hh"
 #include "serve/shard.hh"
+#include "test_util.hh"
 
 namespace mech::serve {
 namespace {
@@ -213,6 +218,67 @@ TEST(Admission, HoldFreezesDispatchUntilReleased)
 // TcpServer (in-process, ephemeral port)
 // ---------------------------------------------------------------------
 
+/** Connect the blocking socket @p fd to 127.0.0.1:@p port. */
+bool
+connectTo(int fd, unsigned short port)
+{
+    sockaddr_in addr;
+    std::memset(&addr, 0, sizeof(addr));
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(port);
+    const auto *sa = reinterpret_cast<const sockaddr *>(&addr);
+    return ::connect(fd, sa, sizeof(addr)) == 0;
+}
+
+/** A blocking client socket connected to 127.0.0.1:@p port, or -1. */
+int
+connectLoopback(unsigned short port)
+{
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (fd >= 0 && !connectTo(fd, port)) {
+        ::close(fd);
+        return -1;
+    }
+    return fd;
+}
+
+/** Write all of @p bytes to @p fd; false once the peer is gone. */
+bool
+sendAll(int fd, const std::string &bytes)
+{
+    std::size_t off = 0;
+    while (off < bytes.size()) {
+        const ssize_t put =
+            ::send(fd, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
+        if (put < 0) {
+            if (errno == EINTR)
+                continue;
+            return false;
+        }
+        off += static_cast<std::size_t>(put);
+    }
+    return true;
+}
+
+/** One line from @p fd, without its newline; empty once the peer
+ *  is gone.  Reads a byte at a time, so nothing past the line is
+ *  consumed. */
+std::string
+readLine(int fd)
+{
+    std::string text;
+    char c;
+    for (;;) {
+        const ssize_t got = ::recv(fd, &c, 1, 0);
+        if (got < 0 && errno == EINTR)
+            continue;
+        if (got <= 0 || c == '\n')
+            return text;
+        text += c;
+    }
+}
+
 /** A started server + the service behind it, torn down in order. */
 struct ServerFixture
 {
@@ -325,6 +391,80 @@ TEST(ServeTcp, ConcurrentSessionsAllComplete)
     for (auto &t : clients)
         t.join();
     EXPECT_EQ(bad.load(), 0);
+
+    // 256 sessions open at once: one thread opens every connection
+    // before sending anything, then sends one eval on each, and every
+    // connection must be answered.  A receive timeout turns a session
+    // left unanswered into a failure instead of a hang.
+    constexpr int kSessions = 256;
+    const timeval patience{30, 0};
+    std::vector<int> fds;
+    for (int c = 0; c < kSessions; ++c) {
+        const int fd = connectLoopback(fx.server.port());
+        if (fd < 0) {
+            ADD_FAILURE() << "connection " << c << " failed";
+            break;
+        }
+        ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &patience,
+                     sizeof(patience));
+        fds.push_back(fd);
+    }
+    for (std::size_t c = 0; c < fds.size(); ++c) {
+        const int id = 1000 + static_cast<int>(c);
+        EXPECT_TRUE(sendAll(fds[c], evalLine(id, spec.at(c % spec.size())) +
+                                        "\n"));
+    }
+    for (std::size_t c = 0; c < fds.size(); ++c) {
+        const std::string reply = readLine(fds[c]);
+        ::close(fds[c]);
+        const std::string id = std::to_string(1000 + c);
+        EXPECT_NE(reply.find("\"id\": " + id + ","), std::string::npos)
+            << "session " << c << " answered: " << reply;
+        EXPECT_NE(reply.find("\"type\": \"result\""), std::string::npos)
+            << "session " << c << " answered: " << reply;
+    }
+}
+
+TEST(ServeTcp, DispatchersEvaluateSessionsConcurrently)
+{
+    // Four dispatchers must evaluate four sessions at once.  Inline
+    // evaluation (threads = 1) runs each batch on its dispatcher
+    // thread, and every point sits at the profiled L2 geometry, so
+    // prepare() takes no exclusive study lock.  The rendezvous
+    // backend holds each evaluation until all four are in flight; a
+    // front end that serializes sessions reaches 1 and fails after
+    // the bound.
+    BackendRegistry &reg = BackendRegistry::global();
+    if (!reg.find("rendezvous")) {
+        reg.registerBackend(
+            std::make_unique<test::RendezvousBackend>("rendezvous", 4));
+    }
+    const auto &rendezvous =
+        dynamic_cast<const test::RendezvousBackend &>(reg.at("rendezvous"));
+
+    TcpServerConfig tcp;
+    tcp.dispatchers = 4;
+    ServerFixture fx(tcp, testConfig(1));
+    std::vector<std::thread> sessions;
+    std::vector<std::vector<std::string>> answers(4);
+    for (unsigned s = 0; s < 4; ++s) {
+        sessions.emplace_back([&, s] {
+            DesignPoint point = defaultDesignPoint();
+            point.width = s + 1;
+            std::string line = evalLine(static_cast<int>(s), point);
+            line.insert(line.size() - 1, ", \"backends\": [\"rendezvous\"]");
+            answers[s] = runClient(fx.server.port(), {line});
+        });
+    }
+    for (auto &t : sessions)
+        t.join();
+    for (const auto &answer : answers) {
+        ASSERT_EQ(answer.size(), 1u);
+        EXPECT_NE(answer[0].find("\"type\": \"result\""), std::string::npos)
+            << answer[0];
+    }
+    EXPECT_GE(rendezvous.peak(), 4u)
+        << "the dispatchers never had 4 evaluations in flight";
 }
 
 TEST(ServeTcp, OverloadShedsStructuredErrorsOnly)
@@ -554,49 +694,6 @@ TEST(ServeTcp, WarmCacheRestartServesFromSpill)
 // ---------------------------------------------------------------------
 // Metrics endpoint (HTTP/1.0 Prometheus exposition)
 // ---------------------------------------------------------------------
-
-/** Connect the blocking socket @p fd to 127.0.0.1:@p port. */
-bool
-connectTo(int fd, unsigned short port)
-{
-    sockaddr_in addr;
-    std::memset(&addr, 0, sizeof(addr));
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(port);
-    const auto *sa = reinterpret_cast<const sockaddr *>(&addr);
-    return ::connect(fd, sa, sizeof(addr)) == 0;
-}
-
-/** A blocking client socket connected to 127.0.0.1:@p port, or -1. */
-int
-connectLoopback(unsigned short port)
-{
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd >= 0 && !connectTo(fd, port)) {
-        ::close(fd);
-        return -1;
-    }
-    return fd;
-}
-
-/** Write all of @p bytes to @p fd; false once the peer is gone. */
-bool
-sendAll(int fd, const std::string &bytes)
-{
-    std::size_t off = 0;
-    while (off < bytes.size()) {
-        const ssize_t put =
-            ::send(fd, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
-        if (put < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        off += static_cast<std::size_t>(put);
-    }
-    return true;
-}
 
 /** Everything @p fd receives until the peer closes; closes @p fd. */
 std::string

@@ -8,8 +8,12 @@
 #ifndef MECH_TESTS_TEST_UTIL_HH
 #define MECH_TESTS_TEST_UTIL_HH
 
+#include <algorithm>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstdint>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -181,6 +185,71 @@ class TraceBuilder
     Trace tr;
     Addr pc = 0x1000;
     int fillerReg = 0;
+};
+
+/**
+ * A backend whose evaluate() calls meet: each call blocks until
+ * @c target calls are in flight at once.  The wait is bounded by one
+ * shared deadline, kBound after the first call, so a caller that
+ * serializes the calls fails the test within one bound instead of
+ * hanging.  peak() is the most calls ever in flight; a run proves
+ * concurrency when peak() reaches @c target.  It is detailed, so a
+ * fan-out gives each cell its own chunk.  Every result is a CPI of 1
+ * with zero energy.
+ */
+class RendezvousBackend : public EvalBackend
+{
+  public:
+    static constexpr std::chrono::seconds kBound{5};
+
+    RendezvousBackend(std::string name, unsigned target)
+        : name_(std::move(name)), target(target)
+    {
+    }
+
+    std::string_view name() const override { return name_; }
+    std::string_view description() const override
+    {
+        return "test backend: evaluate() calls wait for each other";
+    }
+    bool isDetailed() const override { return true; }
+
+    EvalResult
+    evaluate(const EvalRequest &request) const override
+    {
+        std::unique_lock<std::mutex> lock(mtx);
+        if (!deadline)
+            deadline = std::chrono::steady_clock::now() + kBound;
+        peak_ = std::max(peak_, ++inFlight);
+        arrived.notify_all();
+        arrived.wait_until(lock, *deadline,
+                           [this] { return peak_ >= target; });
+        --inFlight;
+
+        EvalResult r;
+        r.backend = name_;
+        r.instructions = request.program->n;
+        r.cycles = static_cast<double>(r.instructions);
+        return r;
+    }
+
+    /** The most evaluate() calls ever in flight at once. */
+    unsigned
+    peak() const
+    {
+        std::lock_guard<std::mutex> lock(mtx);
+        return peak_;
+    }
+
+  private:
+    std::string name_;
+    unsigned target;
+
+    mutable std::mutex mtx;
+    mutable std::condition_variable arrived;
+    mutable std::optional<std::chrono::steady_clock::time_point> deadline;
+    mutable unsigned inFlight = 0;
+    mutable unsigned peak_ = 0;
 };
 
 } // namespace mech::test

@@ -6,7 +6,6 @@
  * Covers every throughput the paper's speedup story rests on:
  *
  *   profiler           profiling pass throughput        insns/s
- *   stack_distance     StackDistanceSimulator::access   accesses/s
  *   inorder_sim        detailed in-order simulation     cycles/s
  *   oosim_cycles       out-of-order simulation          cycles/s
  *   characterize_infer full machine characterizations   inferences/s
@@ -14,19 +13,20 @@
  *   profile_roundtrip  .mprof save + load round trip    roundtrips/s
  *   json_number        json::writeNumber, CPI-like      values/s
  *   sweep_l2           cold wide DseStudy::prepare      geometries/s
- *   dse_scaling        parallel DSE sweep, 1..N thr     evals/s
  *   search_pareto      genetic Pareto search + cache    evals/s
- *   serve_throughput   warm mech_serve session          requests/s
  *
- * Each benchmark is measured with warmup + adaptive iteration count +
- * min-of-N repetitions (src/common/bench.hh) and lands in a
- * schema-versioned JSON artifact (--json).  With --baseline the run
- * is compared against a checked-in artifact and the process exits
- * nonzero on any slowdown beyond --max-slowdown — the CI perf gate.
+ * Each record times one path the tools really run.  It is measured
+ * with warmup + adaptive iteration count + N repetitions
+ * (src/common/bench.hh) and reports its best repetition as
+ * "throughput" (the gated metric), plus "throughput_median" and
+ * "throughput_min", in a schema-versioned JSON artifact (--json).
+ * With --baseline the run is compared against a checked-in artifact
+ * and the process exits nonzero on any slowdown beyond --max-slowdown
+ * — the CI perf gate.  Whether work runs concurrently is a property,
+ * not a rate: tests prove it (docs/benchmarking.md).
  */
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <functional>
@@ -34,7 +34,6 @@
 #include <memory>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <sys/resource.h>
@@ -56,8 +55,6 @@ struct Options
     unsigned repetitions = 5;
     double minTimeMs = 50.0;
     double maxSlowdown = 2.0;
-    double minScaling = 0.0;
-    double minSaturation = 0.0;
     unsigned threads = 0;
     std::string jsonPath;
     std::string baselinePath;
@@ -124,29 +121,11 @@ class Fixture
         return *study_;
     }
 
-    /**
-     * Address stream for the stack-distance benchmark: the data
-     * addresses the profiled trace actually touches, so hit depths
-     * follow real workload locality rather than a synthetic pattern.
-     */
-    const std::vector<Addr> &
-    addressStream()
-    {
-        if (addrs_.empty()) {
-            for (const DynInstr &di : trace()) {
-                if (isMem(di.op))
-                    addrs_.push_back(di.effAddr);
-            }
-        }
-        return addrs_;
-    }
-
   private:
     InstCount n_;
     unsigned threads_;
     Trace trace_;
     std::unique_ptr<DseStudy> study_;
-    std::vector<Addr> addrs_;
 };
 
 using RunFn = std::function<void(Fixture &, const bench::MeasureOptions &,
@@ -158,6 +137,24 @@ struct NamedBenchmark
     std::string description;
     RunFn run;
 };
+
+/**
+ * Record @p name's best repetition as "throughput" (the gated metric),
+ * plus the median and the slowest, from the seconds per iteration of
+ * each repetition and @p items per iteration.  Every record goes
+ * through here.
+ */
+void
+addThroughputSpread(bench::BenchReport &report, const char *name,
+                    std::vector<double> reps, double items,
+                    const char *unit)
+{
+    std::sort(reps.begin(), reps.end());
+    report.add(kSuite, name, "throughput", items / reps.front(), unit);
+    report.add(kSuite, name, "throughput_median",
+               items / reps[reps.size() / 2], unit);
+    report.add(kSuite, name, "throughput_min", items / reps.back(), unit);
+}
 
 void
 runProfiler(Fixture &fx, const bench::MeasureOptions &opts,
@@ -173,27 +170,8 @@ runProfiler(Fixture &fx, const bench::MeasureOptions &opts,
             bench::doNotOptimize(p.program.n);
         },
         opts);
-    report.add(kSuite, "profiler", "throughput",
-               m.rate(static_cast<double>(tr.size())), "insns/s");
-}
-
-void
-runStackDistance(Fixture &fx, const bench::MeasureOptions &opts,
-                 bench::BenchReport &report)
-{
-    const std::vector<Addr> &addrs = fx.addressStream();
-    // L2-flavoured geometry: few sets keep the per-set stacks deep,
-    // which is exactly where the recency-scan cost lives.
-    StackDistanceSimulator sim(64, 64, 64);
-    auto m = bench::measure(
-        [&] {
-            for (Addr a : addrs)
-                sim.access(a);
-            bench::doNotOptimize(sim.accesses());
-        },
-        opts);
-    report.add(kSuite, "stack_distance", "throughput",
-               m.rate(static_cast<double>(addrs.size())), "accesses/s");
+    addThroughputSpread(report, "profiler", m.repSecondsPerIter,
+                        static_cast<double>(tr.size()), "insns/s");
 }
 
 void
@@ -209,8 +187,8 @@ runInorderSim(Fixture &fx, const bench::MeasureOptions &opts,
             bench::doNotOptimize(res.cycles);
         },
         opts);
-    report.add(kSuite, "inorder_sim", "throughput",
-               m.rate(static_cast<double>(once.cycles)), "cycles/s");
+    addThroughputSpread(report, "inorder_sim", m.repSecondsPerIter,
+                        static_cast<double>(once.cycles), "cycles/s");
 }
 
 void
@@ -226,8 +204,8 @@ runOoOSim(Fixture &fx, const bench::MeasureOptions &opts,
             bench::doNotOptimize(res.cycles);
         },
         opts);
-    report.add(kSuite, "oosim_cycles", "throughput",
-               m.rate(static_cast<double>(once.cycles)), "cycles/s");
+    addThroughputSpread(report, "oosim_cycles", m.repSecondsPerIter,
+                        static_cast<double>(once.cycles), "cycles/s");
 }
 
 void
@@ -248,8 +226,8 @@ runCharacterizeInfer(Fixture &fx, const bench::MeasureOptions &opts,
             bench::doNotOptimize(res.description.machine.width);
         },
         opts);
-    report.add(kSuite, "characterize_infer", "throughput", m.rate(1.0),
-               "inferences/s");
+    addThroughputSpread(report, "characterize_infer", m.repSecondsPerIter,
+                        1.0, "inferences/s");
 }
 
 void
@@ -264,8 +242,8 @@ runModelEval(Fixture &fx, const bench::MeasureOptions &opts,
             bench::doNotOptimize(ev.model().cycles);
         },
         opts);
-    report.add(kSuite, "model_eval", "throughput", m.rate(1.0),
-               "evals/s");
+    addThroughputSpread(report, "model_eval", m.repSecondsPerIter, 1.0,
+                        "evals/s");
 }
 
 void
@@ -280,32 +258,14 @@ runProfileRoundtrip(Fixture &fx, const bench::MeasureOptions &opts,
             bench::doNotOptimize(loaded.profile.program.n);
         },
         opts);
-    report.add(kSuite, "profile_roundtrip", "throughput", m.rate(1.0),
-               "roundtrips/s");
-}
-
-/**
- * Record @p name's best repetition as "throughput" (the gated metric,
- * like every record) plus the median and the slowest, from the
- * seconds per iteration of each repetition and @p items per
- * iteration.
- */
-void
-addThroughputSpread(bench::BenchReport &report, const char *name,
-                    std::vector<double> reps, double items,
-                    const char *unit)
-{
-    std::sort(reps.begin(), reps.end());
-    report.add(kSuite, name, "throughput", items / reps.front(), unit);
-    report.add(kSuite, name, "throughput_median",
-               items / reps[reps.size() / 2], unit);
-    report.add(kSuite, name, "throughput_min", items / reps.back(), unit);
+    addThroughputSpread(report, "profile_roundtrip", m.repSecondsPerIter,
+                        1.0, "roundtrips/s");
 }
 
 /**
  * Serialization layer: shortest round-trip doubles through
  * json::writeNumber, the formatter behind every response, report and
- * key.  Records the spread of repetitions (addThroughputSpread).
+ * key.
  */
 void
 runJsonNumber(Fixture &, const bench::MeasureOptions &opts,
@@ -338,7 +298,7 @@ runJsonNumber(Fixture &, const bench::MeasureOptions &opts,
  * into a no-op, so every timed prepare() runs on a study rebuilt,
  * untimed, from the profile.  Repetitions follow bench::measure():
  * one warm-up, then prepares until a repetition reaches the time
- * floor.  Records the spread of repetitions (addThroughputSpread).
+ * floor.
  */
 void
 runSweepL2(Fixture &fx, const bench::MeasureOptions &opts,
@@ -375,68 +335,6 @@ runSweepL2(Fixture &fx, const bench::MeasureOptions &opts,
 }
 
 void
-runDseScaling(Fixture &fx, const bench::MeasureOptions &opts,
-              bench::BenchReport &report)
-{
-    const std::vector<BenchmarkProfile> benches = {
-        profileByName(kBenchName), profileByName("sha")};
-    BatchEngine engine(fx.instructions());
-    // Replicate the 192-point space so one sweep carries several
-    // milliseconds of evaluation work: with the bare space a sweep
-    // is ~100 us of microsecond-scale model evals and the timing
-    // would mostly measure pool startup, not the sharded evaluation
-    // phase this benchmark is about.
-    auto base_space = table2Space();
-    std::vector<DesignPoint> space;
-    space.reserve(base_space.size() * 16);
-    for (int rep = 0; rep < 16; ++rep)
-        space.insert(space.end(), base_space.begin(), base_space.end());
-    // Build the studies outside the timed region so every thread
-    // count measures only the sharded evaluation phase.
-    ThreadPool serial(0);
-    bench::doNotOptimize(engine.evaluateMatrix(benches, space, serial).size());
-    const double evals_per_run =
-        static_cast<double>(benches.size() * space.size());
-
-    // Power-of-two ladder up to the resolved --threads (default: the
-    // hardware).  CI pins --threads 8 so the ladder matches the
-    // checked-in baseline's threads_1/2/4/8 entries on any runner.
-    std::vector<unsigned> ladder;
-    for (unsigned t = 1; t < fx.threads(); t *= 2)
-        ladder.push_back(t);
-    ladder.push_back(fx.threads());
-
-    double rate_one = 0.0;
-    double rate_max = 0.0;
-    for (unsigned threads : ladder) {
-        ThreadPool pool(threads <= 1 ? 0 : threads);
-        auto m = bench::measure(
-            [&] {
-                auto results = engine.evaluateMatrix(benches, space, pool);
-                bench::doNotOptimize(
-                    results[0].evals[0].model().cycles);
-            },
-            opts);
-        const double rate = m.rate(evals_per_run);
-        if (threads == 1)
-            rate_one = rate;
-        rate_max = rate; // the ladder ends at --threads
-        report.add(kSuite, "dse_scaling",
-                   "threads_" + std::to_string(threads), rate,
-                   "evals/s");
-    }
-
-    // Derived scaling efficiency: throughput at the top of the ladder
-    // over the single-threaded throughput.  This is the number the CI
-    // gate (--min-scaling) protects — a serialized eval pipeline
-    // reports ~1x (or below) here no matter how fast each individual
-    // eval is, which is exactly the regression absolute throughput
-    // gates kept missing.
-    report.add(kSuite, "dse_scaling", "scaling_efficiency",
-               rate_one > 0.0 ? rate_max / rate_one : 0.0, "speedup");
-}
-
-void
 runSearchPareto(Fixture &fx, const bench::MeasureOptions &opts,
                 bench::BenchReport &report)
 {
@@ -465,145 +363,8 @@ runSearchPareto(Fixture &fx, const bench::MeasureOptions &opts,
             bench::doNotOptimize(res.stats.misses);
         },
         opts);
-    report.add(kSuite, "search_pareto", "throughput",
-               m.rate(evals_per_run), "evals/s");
-}
-
-void
-runServeThroughput(Fixture &fx, const bench::MeasureOptions &opts,
-                   bench::BenchReport &report)
-{
-    // The serve hot path at steady state: parse a pipelined request
-    // line, hit the memoized cache, serialize the response.  One
-    // warm service handles every timed iteration, so after the first
-    // sweep the stream is pure cache hits — the regime a long-running
-    // replay converges to.  Latency fields stay off: the measurement
-    // is the deterministic protocol path.
-    serve::ServeConfig cfg;
-    cfg.traceLen = fx.instructions();
-    cfg.threads = fx.threads();
-    cfg.defaultBench = {kBenchName};
-    serve::EvalService service(cfg);
-
-    std::string requests;
-    const auto space = table2Space();
-    const std::size_t n_requests = 1024;
-    for (std::size_t i = 0; i < n_requests; ++i) {
-        requests += "{\"id\": " + std::to_string(i) +
-                    ", \"type\": \"eval\", \"point\": \"" +
-                    space[i % space.size()].toKey() + "\"}\n";
-    }
-    serve::SessionOptions sopts;
-    sopts.latencyFields = false;
-
-    auto serveOnce = [&] {
-        std::istringstream in(requests);
-        std::ostringstream out;
-        serve::IstreamLineSource source(in);
-        serve::ServerSession session(service, source, out, sopts);
-        serve::SessionStats stats = session.run();
-        bench::doNotOptimize(stats.responses);
-    };
-    serveOnce(); // warm: profiles the study, fills the cache
-
-    auto m = bench::measure([&] { serveOnce(); }, opts);
-    report.add(kSuite, "serve_throughput", "throughput",
-               m.rate(static_cast<double>(n_requests)), "requests/s");
-}
-
-void
-runServeSaturation(Fixture &fx, const bench::MeasureOptions &opts,
-                   bench::BenchReport &report)
-{
-    // The TCP front end under concurrent load: an in-process epoll
-    // server on an ephemeral port, then a ladder of 1/8/64/256
-    // loopback clients splitting the same warm request set.  The
-    // derived saturation_efficiency (throughput at 64 clients over
-    // one client) is what the --min-saturation CI gate protects: an
-    // accept loop or dispatcher that serializes sessions collapses
-    // under concurrency even when the single-client number looks
-    // healthy.
-    serve::ServeConfig cfg;
-    cfg.traceLen = fx.instructions();
-    cfg.threads = fx.threads();
-    cfg.defaultBench = {kBenchName};
-    serve::EvalService service(cfg);
-
-    serve::SessionOptions sopts;
-    sopts.latencyFields = false;
-
-    // Per-connection chatter would swamp the report output.
-    std::ostream null_log(nullptr);
-    serve::TcpServerConfig tcp; // port 0: ephemeral
-    tcp.dispatchers = std::min(4u, std::max(1u, fx.threads()));
-    serve::TcpServer server(service, tcp, null_log, sopts);
-    std::string error;
-    if (!server.start(&error))
-        fatal("serve_saturation: ", error);
-    const unsigned short port = server.port();
-
-    const auto space = table2Space();
-    const std::size_t n_requests = 1024;
-    std::vector<std::string> requests;
-    requests.reserve(n_requests);
-    for (std::size_t i = 0; i < n_requests; ++i) {
-        requests.push_back("{\"id\": " + std::to_string(i) +
-                           ", \"type\": \"eval\", \"point\": \"" +
-                           space[i % space.size()].toKey() + "\"}");
-    }
-
-    // One timed unit: `clients` connections, each pipelining its
-    // slice of the request set, all joined.  Connection setup is part
-    // of the measurement — the accept path is half the point.
-    auto slam = [&](std::size_t clients) {
-        std::vector<std::thread> workers;
-        workers.reserve(clients);
-        std::atomic<std::size_t> failures{0};
-        for (std::size_t c = 0; c < clients; ++c) {
-            const std::size_t lo = c * n_requests / clients;
-            const std::size_t hi = (c + 1) * n_requests / clients;
-            workers.emplace_back([&, lo, hi] {
-                std::vector<std::string> slice(
-                    requests.begin() +
-                        static_cast<std::ptrdiff_t>(lo),
-                    requests.begin() +
-                        static_cast<std::ptrdiff_t>(hi));
-                serve::LoopbackClient client;
-                std::vector<std::string> responses;
-                std::string err;
-                if (!client.connect(port, &err) ||
-                    !client.run(slice, &responses, &err)) {
-                    failures.fetch_add(1);
-                }
-            });
-        }
-        for (std::thread &t : workers)
-            t.join();
-        if (failures.load() != 0)
-            fatal("serve_saturation: ", failures.load(),
-                  " client(s) failed");
-    };
-    slam(1); // warm: profiles the study, fills the cache
-
-    double rate_one = 0.0;
-    double rate_64 = 0.0;
-    for (std::size_t clients : {1u, 8u, 64u, 256u}) {
-        auto m = bench::measure([&] { slam(clients); }, opts);
-        const double rate =
-            m.rate(static_cast<double>(n_requests));
-        report.add(kSuite, "serve_saturation",
-                   "clients_" + std::to_string(clients), rate,
-                   "requests/s");
-        if (clients == 1)
-            rate_one = rate;
-        if (clients == 64)
-            rate_64 = rate;
-    }
-    report.add(kSuite, "serve_saturation", "saturation_efficiency",
-               rate_one > 0.0 ? rate_64 / rate_one : 0.0, "speedup");
-
-    server.requestStop();
-    server.wait();
+    addThroughputSpread(report, "search_pareto", m.repSecondsPerIter,
+                        evals_per_run, "evals/s");
 }
 
 std::vector<NamedBenchmark>
@@ -612,9 +373,6 @@ allBenchmarks()
     return {
         {"profiler", "profiling-pass throughput (insns/s)",
          runProfiler},
-        {"stack_distance",
-         "StackDistanceSimulator::access throughput (accesses/s)",
-         runStackDistance},
         {"inorder_sim",
          "detailed in-order simulation throughput (cycles/s)",
          runInorderSim},
@@ -635,18 +393,9 @@ allBenchmarks()
         {"sweep_l2",
          "cold DseStudy::prepare over every wide L2 geometry (geometries/s)",
          runSweepL2},
-        {"dse_scaling",
-         "parallel DSE sweep throughput at 1..--threads workers",
-         runDseScaling},
         {"search_pareto",
          "genetic Pareto search through the memoized eval cache",
          runSearchPareto},
-        {"serve_throughput",
-         "warm mech_serve session throughput (requests/s)",
-         runServeThroughput},
-        {"serve_saturation",
-         "TCP front end under 1..256 concurrent loopback clients",
-         runServeSaturation},
     };
 }
 
@@ -679,16 +428,8 @@ main(int argc, char **argv)
     parser.add("max-slowdown", "ratio",
                "slowdown ratio that fails the baseline gate",
                &opt.maxSlowdown);
-    parser.add("min-scaling", "ratio",
-               "fail unless dse_scaling/scaling_efficiency of THIS "
-               "run reaches the ratio (0 = no gate)",
-               &opt.minScaling);
-    parser.add("min-saturation", "ratio",
-               "fail unless serve_saturation/saturation_efficiency "
-               "of THIS run reaches the ratio (0 = no gate)",
-               &opt.minSaturation);
     parser.add("threads", "N",
-               "top worker count for the multi-threaded benchmarks "
+               "worker count for characterize_infer and search_pareto "
                "(0 = all hardware threads)",
                &opt.threads);
     parser.add("filter", "substr",
@@ -809,59 +550,5 @@ main(int argc, char **argv)
         std::cout << "baseline gate passed\n";
     }
 
-    // The scaling gate is absolute, not baseline-relative: a baseline
-    // recorded on a small or noisy machine must never lower the bar,
-    // and an efficiency regression is a bug at any throughput.
-    if (opt.minScaling > 0.0) {
-        const bench::BenchRecord *eff = nullptr;
-        for (const bench::BenchRecord &r : report.results) {
-            if (r.benchmark == "dse_scaling" &&
-                r.metric == "scaling_efficiency") {
-                eff = &r;
-            }
-        }
-        if (!eff) {
-            fatal("--min-scaling needs the dse_scaling benchmark "
-                  "(is it excluded by --filter?)");
-        }
-        std::cout << "\nscaling gate: " << eff->value
-                  << "x at --threads " << fx.threads() << " (floor "
-                  << opt.minScaling << "x)\n";
-        if (eff->value < opt.minScaling) {
-            std::cerr << "mech_bench: scaling efficiency "
-                      << eff->value << "x is below the --min-scaling "
-                      << opt.minScaling << "x floor\n";
-            return 1;
-        }
-        std::cout << "scaling gate passed\n";
-    }
-
-    // Same shape as the scaling gate: an absolute floor on how the
-    // TCP front end holds up under concurrency, independent of the
-    // baseline machine's raw throughput.
-    if (opt.minSaturation > 0.0) {
-        const bench::BenchRecord *eff = nullptr;
-        for (const bench::BenchRecord &r : report.results) {
-            if (r.benchmark == "serve_saturation" &&
-                r.metric == "saturation_efficiency") {
-                eff = &r;
-            }
-        }
-        if (!eff) {
-            fatal("--min-saturation needs the serve_saturation "
-                  "benchmark (is it excluded by --filter?)");
-        }
-        std::cout << "\nsaturation gate: " << eff->value
-                  << "x at 64 clients (floor " << opt.minSaturation
-                  << "x)\n";
-        if (eff->value < opt.minSaturation) {
-            std::cerr << "mech_bench: saturation efficiency "
-                      << eff->value
-                      << "x is below the --min-saturation "
-                      << opt.minSaturation << "x floor\n";
-            return 1;
-        }
-        std::cout << "saturation gate passed\n";
-    }
     return 0;
 }
