@@ -259,6 +259,7 @@ characterize(const CharacterizeConfig &cfg, ThreadPool &pool)
     // backend, writing only its own preassigned slot.
     ProfilerConfig profiler_config;
     profiler_config.hierarchy = hierarchyFor(cfg.point);
+    const PointTerms terms(cfg.point);
     pool.parallelFor(
         battery.size(), 1, [&](std::size_t begin, std::size_t end) {
             for (std::size_t i = begin; i < end; ++i) {
@@ -271,7 +272,7 @@ characterize(const CharacterizeConfig &cfg, ThreadPool &pool)
                 req.branch =
                     &profile.branchProfileFor(cfg.point.predictor);
                 req.trace = &kernel.trace;
-                req.point = cfg.point;
+                req.terms = &terms;
                 const EvalResult res = backend.evaluate(req);
                 result.measurements[i] = {kernel.name,
                                           kernel.trace.size(),

@@ -150,10 +150,10 @@ DseStudy::covers(const std::vector<DesignPoint> &points) const
 
 void
 DseStudy::evaluateWithInto(PointEvaluation &out, const MemoryStats &mem,
-                           const DesignPoint &point,
+                           const PointTerms &terms,
                            const BackendSet &backends) const
 {
-    out.point = point;
+    out.point = terms.point;
     // resize + assign rather than clear + push_back: a warm scratch
     // keeps its element storage, and a model-backend EvalResult holds
     // no heap state (SSO name, flat stack, disengaged detail), so the
@@ -163,9 +163,9 @@ DseStudy::evaluateWithInto(PointEvaluation &out, const MemoryStats &mem,
     EvalRequest req;
     req.program = &prof.program;
     req.memory = &mem;
-    req.branch = &prof.branchProfileFor(point.predictor);
+    req.branch = &prof.branchProfileFor(terms.point.predictor);
     req.trace = dynTrace.empty() ? nullptr : &dynTrace;
-    req.point = point;
+    req.terms = &terms;
 
     for (std::size_t i = 0; i < backends.size(); ++i) {
         MECH_ASSERT(backends[i], "null backend in set");
@@ -186,13 +186,20 @@ void
 DseStudy::evaluateInto(PointEvaluation &out, const DesignPoint &point,
                        const BackendSet &backends) const
 {
-    if (const MemoryStats *memo = findMemo(point)) {
-        evaluateWithInto(out, *memo, point, backends);
+    evaluateInto(out, PointTerms(point), backends);
+}
+
+void
+DseStudy::evaluateInto(PointEvaluation &out, const PointTerms &terms,
+                       const BackendSet &backends) const
+{
+    if (const MemoryStats *memo = findMemo(terms.point)) {
+        evaluateWithInto(out, *memo, terms, backends);
         return;
     }
     const std::vector<MemoryStats> swept =
-        sweepL2(prof, l2Sets(point), {point.l2Assoc});
-    evaluateWithInto(out, swept.front(), point, backends);
+        sweepL2(prof, l2Sets(terms.point), {terms.point.l2Assoc});
+    evaluateWithInto(out, swept.front(), terms, backends);
 }
 
 } // namespace mech

@@ -185,6 +185,13 @@ class DseStudy
                           defaultBackends()) const;
 
     /**
+     * evaluateInto() at @p terms.point, with terms the caller built
+     * once for every benchmark at that point (the batch fan-out).
+     */
+    void evaluateInto(PointEvaluation &out, const PointTerms &terms,
+                      const BackendSet &backends) const;
+
+    /**
      * Memoize MemoryStats for every distinct L2 geometry in
      * @p points, so subsequent evaluations are pure lookups.  The
      * geometries not yet memoized are grouped by set count, and one
@@ -248,7 +255,7 @@ class DseStudy
 
     /** Shared core of every evaluate path. */
     void evaluateWithInto(PointEvaluation &out, const MemoryStats &mem,
-                          const DesignPoint &point,
+                          const PointTerms &terms,
                           const BackendSet &backends) const;
 
     std::string benchName;

@@ -35,11 +35,32 @@
 namespace mech {
 
 /**
+ * What a design point costs every backend before any benchmark is
+ * read: its machine parameters and its power model.  Neither depends
+ * on the benchmark, so batch drivers build them once per point and
+ * share them across the point's (point, benchmark) cells.
+ */
+struct PointTerms
+{
+    /** Builds every term from @p point. */
+    explicit PointTerms(const DesignPoint &point);
+
+    /** The point the terms were built from. */
+    DesignPoint point;
+
+    /** machineFor(point). */
+    MachineParams machine;
+
+    /** The power model over the point's core, caches and predictor. */
+    PowerModel power;
+};
+
+/**
  * One evaluation request: a non-owning view of the profiled workload
  * plus the design point to evaluate it at.
  *
- * The profile pointers must outlive the call.  @c memory must already
- * match the request's L2 geometry (DseStudy's memoization does this);
+ * The pointers must outlive the call.  @c memory must already match
+ * the request's L2 geometry (DseStudy's memoization does this);
  * @c trace may be null for backends that do not replay the trace
  * (EvalBackend::needsTrace() says which ones do).
  */
@@ -58,12 +79,13 @@ struct EvalRequest
     const Trace *trace = nullptr;
 
     /**
-     * The design point under evaluation.  Carries everything a
-     * backend may consume, including the out-of-order structures
-     * (point.ooo) — there is no side-channel next to the point, so a
-     * point's identity fully determines its results.
+     * The design point under evaluation (terms->point) and the terms
+     * built from it.  The point carries everything a backend may
+     * consume, including the out-of-order structures (point.ooo) —
+     * there is no side-channel next to the point, so a point's
+     * identity fully determines its results.
      */
-    DesignPoint point;
+    const PointTerms *terms = nullptr;
 };
 
 /**

@@ -37,7 +37,11 @@ namespace mech {
 
 namespace {
 
-/** Per-backend evaluation instruments, registered on first use. */
+/**
+ * Per-call instruments of a detailed backend, registered on first
+ * use.  Such a call replays the whole trace, so they cost nothing next
+ * to it; model-speed backends are counted per fan-out chunk instead.
+ */
 struct BackendEvalObs
 {
     obs::Counter &evals;
@@ -46,14 +50,12 @@ struct BackendEvalObs
     static BackendEvalObs
     make(const std::string &name)
     {
-        auto &reg = obs::MetricsRegistry::global();
         return BackendEvalObs{
-            reg.counter("eval.backend." + name + ".evals",
-                        "Design-point evaluations through the '" +
-                            name + "' backend"),
-            reg.histogram("eval.backend." + name + ".us",
-                          "Per-point evaluation latency of the '" +
-                              name + "' backend, microseconds"),
+            backendEvalCounter(name),
+            obs::MetricsRegistry::global().histogram(
+                "eval.backend." + name + ".us",
+                "Per-point evaluation latency of the '" + name +
+                    "' backend, microseconds"),
         };
     }
 };
@@ -106,23 +108,26 @@ activityFor(const EvalRequest &req, double cycles)
     return a;
 }
 
-/** Fill the activity/energy/EDP tail every backend shares. */
+/**
+ * Fill the activity/energy/EDP tail every backend shares.  The EDP is
+ * PowerModel::edp's expression over the energy already computed.
+ */
 void
 finishResult(EvalResult &res, const EvalRequest &req)
 {
-    PowerModel power(machineFor(req.point), hierarchyFor(req.point),
-                     req.point.predictor);
+    const PowerModel &power = req.terms->power;
     res.activity = activityFor(req, res.cycles);
     res.energy = power.energy(res.activity);
-    res.edp = power.edp(res.activity);
+    res.edp = res.energy.totalJ() * power.seconds(res.activity.cycles);
 }
 
 /** Common request validation. */
 void
 checkRequest(const EvalRequest &req, const EvalBackend &backend)
 {
-    MECH_ASSERT(req.program && req.memory && req.branch,
-                "EvalRequest must carry a profile view (backend ",
+    MECH_ASSERT(req.program && req.memory && req.branch && req.terms,
+                "EvalRequest must carry a profile view and point terms "
+                "(backend ",
                 backend.name(), ")");
     // A missing trace is a user-input condition (typically a profile
     // artifact written with --no-trace), not a library bug: report
@@ -150,11 +155,8 @@ class ModelBackend : public EvalBackend
     evaluate(const EvalRequest &req) const override
     {
         checkRequest(req, *this);
-        static BackendEvalObs obs = BackendEvalObs::make("model");
-        BackendEvalScope scope(obs, "backend.model");
         ModelResult m = evaluateInOrder(*req.program, *req.memory,
-                                        *req.branch,
-                                        machineFor(req.point));
+                                        *req.branch, req.terms->machine);
         EvalResult res;
         res.backend = std::string(name());
         res.cycles = m.cycles;
@@ -188,7 +190,7 @@ class InOrderSimBackend : public EvalBackend
         static BackendEvalObs obs = BackendEvalObs::make("sim");
         BackendEvalScope scope(obs, "backend.sim");
         SimResult sim =
-            simulateInOrder(*req.trace, simConfigFor(req.point));
+            simulateInOrder(*req.trace, simConfigFor(req.terms->point));
         EvalResult res;
         res.backend = std::string(name());
         res.cycles = static_cast<double>(sim.cycles);
@@ -217,12 +219,9 @@ class OoOModelBackend : public EvalBackend
     evaluate(const EvalRequest &req) const override
     {
         checkRequest(req, *this);
-        static BackendEvalObs obs = BackendEvalObs::make("ooo");
-        BackendEvalScope scope(obs, "backend.ooo");
         ModelResult m = evaluateOutOfOrder(*req.program, *req.memory,
-                                           *req.branch,
-                                           machineFor(req.point),
-                                           req.point.ooo);
+                                           *req.branch, req.terms->machine,
+                                           req.terms->point.ooo);
         EvalResult res;
         res.backend = std::string(name());
         res.cycles = m.cycles;
@@ -257,7 +256,7 @@ class OoOSimBackend : public EvalBackend
         static BackendEvalObs obs = BackendEvalObs::make("oosim");
         BackendEvalScope scope(obs, "backend.oosim");
         OoOSimResult sim =
-            simulateOutOfOrder(*req.trace, oooSimConfigFor(req.point));
+            simulateOutOfOrder(*req.trace, oooSimConfigFor(req.terms->point));
         EvalResult res;
         res.backend = std::string(name());
         res.cycles = static_cast<double>(sim.cycles);
@@ -269,6 +268,21 @@ class OoOSimBackend : public EvalBackend
 };
 
 } // namespace
+
+PointTerms::PointTerms(const DesignPoint &point)
+    : point(point), machine(machineFor(point)),
+      power(machine, hierarchyFor(point), point.predictor)
+{
+}
+
+obs::Counter &
+backendEvalCounter(std::string_view name)
+{
+    const std::string n(name);
+    return obs::MetricsRegistry::global().counter(
+        "eval.backend." + n + ".evals",
+        "Design-point evaluations through the '" + n + "' backend");
+}
 
 BackendRegistry &
 BackendRegistry::global()

@@ -22,6 +22,10 @@
 
 namespace mech {
 
+namespace obs {
+class Counter;
+} // namespace obs
+
 /** Names of the built-in backends. */
 inline constexpr std::string_view kModelBackend = "model";
 inline constexpr std::string_view kSimBackend = "sim";
@@ -98,6 +102,13 @@ BackendSet backendSet(std::string_view csv);
 
 /** The default backend set: the analytical model only. */
 const BackendSet &defaultBackends();
+
+/**
+ * The `eval.backend.<name>.evals` counter, registered on first use.
+ * A detailed backend counts its own evaluate() calls; the batch
+ * fan-out counts every other backend once per chunk.
+ */
+obs::Counter &backendEvalCounter(std::string_view name);
 
 } // namespace mech
 

@@ -1,5 +1,6 @@
 #include "power/power_model.hh"
 
+#include <algorithm>
 #include <cmath>
 
 namespace mech {
@@ -28,28 +29,41 @@ sramAccessNj(std::uint64_t bytes, std::uint32_t assoc)
     return kSram32kNj * size_scale * assoc_scale;
 }
 
-} // namespace
-
-PowerModel::PowerModel(const MachineParams &machine,
-                       const HierarchyConfig &hierarchy,
-                       PredictorKind predictor)
-    : machine(machine), hier(hierarchy), pred(predictor)
-{
-    machine.validate();
-}
-
+/**
+ * Supply-voltage scale at @p freq_ghz.  Lower-frequency design points
+ * run at proportionally lower supply: V/Vmax = 0.6 + 0.4 f/fmax
+ * (clamped below by retention).
+ */
 double
-PowerModel::voltageScale() const
+voltageScaleAt(double freq_ghz)
 {
-    // Lower-frequency design points run at proportionally lower
-    // supply: V/Vmax = 0.6 + 0.4 f/fmax (clamped below by retention).
-    double f_ratio = machine.freqGHz / kMaxFreqGHz;
+    double f_ratio = freq_ghz / kMaxFreqGHz;
     return 0.6 + 0.4 * std::min(1.0, f_ratio);
 }
 
-double
-PowerModel::staticPowerW() const
+} // namespace
+
+PowerModel::PowerModel(const MachineParams &machine,
+                       const HierarchyConfig &hier, PredictorKind pred)
 {
+    machine.validate();
+    hz = machine.freqGHz * 1e9;
+    voltage = voltageScaleAt(machine.freqGHz);
+    v2 = voltage * voltage; // dynamic energy scales with V^2
+
+    // Core: per-instruction work grows with width (bypass, ports);
+    // per-cycle overhead grows with width x depth (latches, clock).
+    double w = machine.width;
+    perInstrNj = kInstrEnergyNj * (1.0 + kWidthEnergySlope * (w - 1.0));
+    perCycleNj = kCycleEnergyNj * w * static_cast<double>(machine.depth());
+
+    // SRAM arrays.
+    l1iNj = sramAccessNj(hier.l1i.sizeBytes, hier.l1i.assoc);
+    l1dNj = sramAccessNj(hier.l1d.sizeBytes, hier.l1d.assoc);
+    l2Nj = sramAccessNj(hier.l2.sizeBytes, hier.l2.assoc);
+    predictorNj =
+        sramAccessNj(std::max<std::uint64_t>(predictorBytes(pred), 64), 1);
+
     double sram_bytes =
         static_cast<double>(hier.l1i.sizeBytes + hier.l1d.sizeBytes +
                             hier.l2.sizeBytes + predictorBytes(pred));
@@ -57,51 +71,30 @@ PowerModel::staticPowerW() const
                   (0.7 + 0.1 * machine.depth());
     double sram = kStaticSramWPerMB * sram_bytes / (1024.0 * 1024.0);
     // Leakage scales ~V (first order).
-    return (core + sram) * voltageScale();
+    staticW = (core + sram) * voltage;
 }
 
 EnergyBreakdown
 PowerModel::energy(const ActivityCounts &activity) const
 {
     EnergyBreakdown out;
-    double v = voltageScale();
-    double v2 = v * v; // dynamic energy scales with V^2
-
-    // Core: per-instruction work grows with width (bypass, ports);
-    // per-cycle overhead grows with width x depth (latches, clock).
-    double w = machine.width;
-    double per_instr =
-        kInstrEnergyNj * (1.0 + kWidthEnergySlope * (w - 1.0));
-    double per_cycle = kCycleEnergyNj * w *
-                       static_cast<double>(machine.depth());
-    out.coreDynamicJ = (activity.instructions * per_instr +
-                        activity.cycles * per_cycle) *
+    out.coreDynamicJ = (activity.instructions * perInstrNj +
+                        activity.cycles * perCycleNj) *
                        v2 * 1e-9;
-
-    // SRAM arrays.
-    double cache_nj =
-        activity.l1iAccesses * sramAccessNj(hier.l1i.sizeBytes,
-                                            hier.l1i.assoc) +
-        activity.l1dAccesses * sramAccessNj(hier.l1d.sizeBytes,
-                                            hier.l1d.assoc) +
-        activity.l2Accesses * sramAccessNj(hier.l2.sizeBytes,
-                                           hier.l2.assoc) +
-        activity.branches * sramAccessNj(
-            std::max<std::uint64_t>(predictorBytes(pred), 64), 1);
+    double cache_nj = activity.l1iAccesses * l1iNj +
+                      activity.l1dAccesses * l1dNj +
+                      activity.l2Accesses * l2Nj +
+                      activity.branches * predictorNj;
     out.cacheDynamicJ = cache_nj * v2 * 1e-9;
-
     out.memoryDynamicJ = activity.memAccesses * kMemAccessNj * 1e-9;
-
-    double seconds = activity.cycles / (machine.freqGHz * 1e9);
-    out.staticJ = staticPowerW() * seconds;
+    out.staticJ = staticW * seconds(activity.cycles);
     return out;
 }
 
 double
 PowerModel::edp(const ActivityCounts &activity) const
 {
-    double seconds = activity.cycles / (machine.freqGHz * 1e9);
-    return energy(activity).totalJ() * seconds;
+    return energy(activity).totalJ() * seconds(activity.cycles);
 }
 
 } // namespace mech

@@ -74,7 +74,14 @@ struct EnergyBreakdown
     }
 };
 
-/** Analytical power model over one design point. */
+/**
+ * Analytical power model over one design point.
+ *
+ * The constructor computes every term that depends only on the point
+ * (V^2, the per-instruction and per-cycle energies, the four SRAM
+ * access energies, static power), so energy() is a handful of
+ * multiply-adds per run.
+ */
 class PowerModel
 {
   public:
@@ -96,16 +103,26 @@ class PowerModel
      */
     double edp(const ActivityCounts &activity) const;
 
+    /** Seconds that @p cycles take at the configured frequency. */
+    double seconds(double cycles) const { return cycles / hz; }
+
     /** Supply-voltage scale factor at the configured frequency. */
-    double voltageScale() const;
+    double voltageScale() const { return voltage; }
 
     /** Static power in watts at the configured voltage. */
-    double staticPowerW() const;
+    double staticPowerW() const { return staticW; }
 
   private:
-    MachineParams machine;
-    HierarchyConfig hier;
-    PredictorKind pred;
+    double hz;          ///< clock frequency in Hz
+    double voltage;     ///< supply scale V/Vmax
+    double v2;          ///< voltage squared
+    double perInstrNj;  ///< core energy per instruction at V=1
+    double perCycleNj;  ///< core energy per cycle at V=1
+    double l1iNj;       ///< per L1I access at V=1
+    double l1dNj;       ///< per L1D access at V=1
+    double l2Nj;        ///< per L2 access at V=1
+    double predictorNj; ///< per predictor lookup at V=1
+    double staticW;     ///< leakage in watts
 };
 
 } // namespace mech

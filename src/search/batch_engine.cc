@@ -1,6 +1,7 @@
 #include "search/batch_engine.hh"
 
 #include <algorithm>
+#include <optional>
 #include <set>
 #include <unordered_map>
 #include <utility>
@@ -46,16 +47,21 @@ admissionError(const SpaceSpec &spec, const std::string &space,
 namespace {
 
 /**
- * The one fan-out: @p cell(i, b, scratch) for every (point i,
+ * The one fan-out: @p cell(i, b, terms, scratch) for every (point i,
  * benchmark b) pair, point-major, across @p pool — so a lone point
- * still spreads its benchmarks over the pool.  Every study's lock is
- * held shared for the whole fan-out, once each (a set may name a
- * benchmark twice), in ascending seq order.
+ * still spreads its benchmarks over the pool.  A chunk builds each of
+ * its points' PointTerms once and hands them to every benchmark at
+ * that point, and adds its cell count once to the evaluation counter
+ * of each model-speed backend (detailed backends count their own
+ * calls).  Every study's lock is held shared for the whole fan-out,
+ * once each (a set may name a benchmark twice), in ascending seq
+ * order.
  */
 template <typename Cell>
 void
-fanOut(const std::vector<BatchEngine::Study *> &set, std::size_t npoints,
-       const BackendSet &backends, ThreadPool &pool, Cell &&cell)
+fanOut(const std::vector<BatchEngine::Study *> &set,
+       const std::vector<DesignPoint> &points, const BackendSet &backends,
+       ThreadPool &pool, Cell &&cell)
 {
     std::vector<BatchEngine::Study *> locked = set;
     std::sort(locked.begin(), locked.end(),
@@ -66,19 +72,30 @@ fanOut(const std::vector<BatchEngine::Study *> &set, std::size_t npoints,
     for (BatchEngine::Study *s : locked)
         guards.emplace_back(s->rw);
 
+    std::vector<obs::Counter *> counted;
+    for (const EvalBackend *b : backends) {
+        if (!b->isDetailed())
+            counted.push_back(&backendEvalCounter(b->name()));
+    }
+
     // A model evaluation is microseconds, so model-speed cells go in
     // ~8 chunks per pool participant; a detailed backend replays the
     // trace per point and shards per cell.
-    const bool detailed =
-        std::any_of(backends.begin(), backends.end(),
-                    [](const EvalBackend *b) { return b->isDetailed(); });
+    const bool detailed = counted.size() < backends.size();
     const std::size_t nbench = set.size();
-    const std::size_t cells = npoints * nbench;
+    const std::size_t cells = points.size() * nbench;
     const std::size_t chunk = detailed ? 1 : pool.bulkChunk(cells);
     pool.parallelFor(cells, chunk, [&](std::size_t begin, std::size_t end) {
+        std::optional<PointTerms> terms;
         PointEvaluation scratch;
-        for (std::size_t c = begin; c < end; ++c)
-            cell(c / nbench, c % nbench, scratch);
+        for (std::size_t c = begin; c < end; ++c) {
+            // Point-major cells: a new point starts every nbench.
+            if (c == begin || c % nbench == 0)
+                terms.emplace(points[c / nbench]);
+            cell(c / nbench, c % nbench, *terms, scratch);
+        }
+        for (obs::Counter *evals : counted)
+            evals->inc(end - begin);
     });
 }
 
@@ -263,9 +280,10 @@ BatchEngine::evaluateMatrix(const std::vector<BenchmarkProfile> &benches,
         results[b].evals.resize(points.size());
     }
     // Each cell evaluates straight into its preassigned output slot.
-    fanOut(set, points.size(), backends, pool,
-           [&](std::size_t i, std::size_t b, PointEvaluation &) {
-               set[b]->study->evaluateInto(results[b].evals[i], points[i],
+    fanOut(set, points, backends, pool,
+           [&](std::size_t i, std::size_t b, const PointTerms &terms,
+               PointEvaluation &) {
+               set[b]->study->evaluateInto(results[b].evals[i], terms,
                                            backends);
            });
     return results;
@@ -321,10 +339,11 @@ BatchEngine::evaluateCached(const std::vector<Study *> &set,
             computed[j].point = missPoints[j];
             computed[j].perBench.resize(set.size() * width);
         }
-        fanOut(set, missPoints.size(), backends, pool,
-               [&](std::size_t j, std::size_t b, PointEvaluation &ev) {
+        fanOut(set, missPoints, backends, pool,
+               [&](std::size_t j, std::size_t b, const PointTerms &terms,
+                   PointEvaluation &ev) {
                    SearchEval &eval = computed[j];
-                   set[b]->study->evaluateInto(ev, eval.point, backends);
+                   set[b]->study->evaluateInto(ev, terms, backends);
                    for (std::size_t be = 0; be < n_be; ++be) {
                        for (std::size_t k = 0; k < k_objs; ++k) {
                            eval.perBench[(b * n_be + be) * k_objs + k] =

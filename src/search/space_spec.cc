@@ -397,6 +397,10 @@ SpaceSpec::checkAxes() const
             return "depth " + std::to_string(df.depth) +
                    " below minimum 5 (2 front-end + 3 back-end stages)";
         }
+        if (df.depth > kMaxDepth) {
+            return "depth " + std::to_string(df.depth) +
+                   " above maximum " + std::to_string(kMaxDepth);
+        }
         if (!std::isfinite(df.freqGHz) || df.freqGHz <= 0.0)
             return "frequency must be positive and finite";
         if (df.freqGHz < kMinFreqGHz || df.freqGHz > kMaxFreqGHz) {

@@ -90,6 +90,17 @@ class SpaceSpec
     static constexpr std::uint32_t kMaxResultBuses = 64;
 
     /**
+     * Deepest supported pipeline (1024 stages).  Like kMaxL2KB it
+     * bounds a client axis: `sim` keeps one slot counter per
+     * front-end stage and scans them every active cycle, and `oosim`
+     * holds depth x width front-end entries, so an unbounded depth
+     * (2^32-1) makes one request allocate gigabytes.  At the bound
+     * one `gcc` request at 50k instructions costs `sim` ~1.1-1.3 s
+     * and `oosim` ~0.02 s, at width 1 or 16 (gcc 12 Release, 4 vCPU).
+     */
+    static constexpr std::uint32_t kMaxDepth = 1024;
+
+    /**
      * Bounds on the clock frequency in GHz (10 MHz to 100 GHz).  The
      * delay and energy objectives scale with the clock period, and
      * fixed-ns latencies become cycles at this clock, so without a
@@ -181,8 +192,9 @@ class SpaceSpec
     /**
      * Validate the axes: every axis non-empty and duplicate-free,
      * power-of-two L2 geometry with at least one set, widths within
-     * the machine's [1,16], depths >= 5 (a 2-stage front end plus the
-     * 3-stage back end), positive frequencies.  Calls fatal() on
+     * the machine's [1,16], depths in [5, kMaxDepth] (a 2-stage front
+     * end plus the 3-stage back end at least), frequencies in
+     * [kMinFreqGHz, kMaxFreqGHz].  Calls fatal() on
      * violation.
      */
     void validate() const;

@@ -357,6 +357,55 @@ TEST(BatchEngine, CacheCountersMatchBatchStats)
     EXPECT_EQ(stats.misses, 3u);
 }
 
+TEST(BatchEngine, BackendEvalCountersCountEveryCell)
+{
+    // The fan-out counts model-speed backends once per chunk: the
+    // eval.backend.{model,ooo}.evals deltas equal the (point,
+    // benchmark) cells evaluated, on the matrix path and on the cached
+    // path's misses, whatever the pool size.
+    obs::MetricsRegistry &reg = obs::MetricsRegistry::global();
+    const obs::Counter &model = reg.counter("eval.backend.model.evals");
+    const obs::Counter &ooo = reg.counter("eval.backend.ooo.evals");
+    const BackendSet backends = backendSet("model,ooo");
+    const std::vector<BenchmarkProfile> benches = {
+        profileByName("sha"), profileByName("jpeg_c"),
+        profileByName("gsm_c")};
+    const auto space = table2Space();
+    const std::vector<DesignPoint> points(space.begin(), space.begin() + 37);
+    const std::vector<DesignPoint> batch = {space[50], space[60], space[50],
+                                            space[191], space[60]};
+    const std::vector<Objective> objs = parseObjectives("cpi,edp");
+
+    for (unsigned threads : {1u, 4u}) {
+        ThreadPool pool(threads);
+        BatchEngine engine(kLen);
+        std::uint64_t m0 = model.value();
+        std::uint64_t o0 = ooo.value();
+        engine.evaluateMatrix(benches, points, pool, backends);
+        EXPECT_EQ(model.value() - m0, points.size() * benches.size())
+            << threads;
+        EXPECT_EQ(ooo.value() - o0, points.size() * benches.size())
+            << threads;
+
+        const auto set = engine.studies(benches, backends, pool);
+        EvalCache cache;
+        SearchStats stats;
+        for (const char *round : {"fresh", "repeat"}) {
+            const std::uint64_t misses0 = stats.misses;
+            m0 = model.value();
+            o0 = ooo.value();
+            engine.evaluateCached(set, backends, objs, batch, cache, pool,
+                                  stats);
+            const std::uint64_t cells =
+                (stats.misses - misses0) * benches.size();
+            EXPECT_EQ(model.value() - m0, cells) << threads << round;
+            EXPECT_EQ(ooo.value() - o0, cells) << threads << round;
+        }
+        EXPECT_EQ(stats.misses, 3u) << threads;
+        EXPECT_EQ(stats.hits, 7u) << threads;
+    }
+}
+
 TEST(BatchEngine, MatrixPathAcceptsARepeatedBenchmark)
 {
     // A benchmark named twice shares one study, whose lock the fan-out

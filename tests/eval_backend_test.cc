@@ -33,6 +33,14 @@ sharedStudy()
     return study;
 }
 
+/** The default design point's terms. */
+const PointTerms &
+defaultTerms()
+{
+    static const PointTerms terms(defaultDesignPoint());
+    return terms;
+}
+
 /** A request against the shared study at the default design point. */
 EvalRequest
 defaultRequest()
@@ -44,7 +52,7 @@ defaultRequest()
     req.branch = &study.profile().branchProfileFor(
         defaultDesignPoint().predictor);
     req.trace = &study.trace();
-    req.point = defaultDesignPoint();
+    req.terms = &defaultTerms();
     return req;
 }
 
@@ -120,7 +128,7 @@ TEST(EvalBackend, ModelBackendMatchesEvaluateInOrder)
 
     ModelResult direct =
         evaluateInOrder(*req.program, *req.memory, *req.branch,
-                        machineFor(req.point));
+                        machineFor(req.terms->point));
 
     EXPECT_EQ(res.cycles, direct.cycles);
     EXPECT_EQ(res.instructions, direct.instructions);
@@ -143,7 +151,7 @@ TEST(EvalBackend, SimBackendMatchesSimulateInOrder)
         BackendRegistry::global().at(kSimBackend).evaluate(req);
 
     SimResult direct =
-        simulateInOrder(sharedStudy().trace(), simConfigFor(req.point));
+        simulateInOrder(sharedStudy().trace(), simConfigFor(req.terms->point));
 
     ASSERT_TRUE(res.detail.has_value());
     EXPECT_EQ(res.cycles, static_cast<double>(direct.cycles));
@@ -156,8 +164,11 @@ TEST(EvalBackend, SimBackendMatchesSimulateInOrder)
 
 TEST(EvalBackend, OooBackendMatchesEvaluateOutOfOrder)
 {
+    DesignPoint point = defaultDesignPoint();
+    point.ooo.robSize = 64;
+    const PointTerms terms(point);
     EvalRequest req = defaultRequest();
-    req.point.ooo.robSize = 64;
+    req.terms = &terms;
     EvalResult res =
         BackendRegistry::global().at(kOooBackend).evaluate(req);
 
@@ -165,7 +176,7 @@ TEST(EvalBackend, OooBackendMatchesEvaluateOutOfOrder)
     ooo.robSize = 64;
     ModelResult direct =
         evaluateOutOfOrder(*req.program, *req.memory, *req.branch,
-                           machineFor(req.point), ooo);
+                           machineFor(point), ooo);
 
     EXPECT_EQ(res.cycles, direct.cycles);
     EXPECT_TRUE(res.hasStack);

@@ -6,12 +6,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <iterator>
 #include <set>
+#include <vector>
 
+#include "common/rng.hh"
 #include "dse/design_space.hh"
 #include "dse/study.hh"
 #include "ooo/ooo_model.hh"
 #include "power/power_model.hh"
+#include "search/space_spec.hh"
 #include "workload/suites.hh"
 
 namespace mech {
@@ -212,6 +218,165 @@ TEST(Power, EdpIsEnergyTimesDelay)
     ActivityCounts a = someActivity();
     double seconds = a.cycles / (p.freqGHz * 1e9);
     EXPECT_NEAR(pm.edp(a), pm.energy(a).totalJ() * seconds, 1e-15);
+}
+
+/**
+ * PowerModel::energy() and edp() as they read before the point terms
+ * were precomputed: every term recomputed per call, in this order.
+ * The precomputed model must agree with it bit for bit.
+ */
+struct ReferencePower
+{
+    MachineParams machine;
+    HierarchyConfig hier;
+    PredictorKind pred;
+
+    static double
+    sramAccessNj(std::uint64_t bytes, std::uint32_t assoc)
+    {
+        double size_scale = std::sqrt(static_cast<double>(bytes) /
+                                      (32.0 * 1024.0));
+        double assoc_scale =
+            std::pow(static_cast<double>(assoc) / 4.0, 0.3);
+        return 0.10 * size_scale * assoc_scale;
+    }
+
+    double
+    voltageScale() const
+    {
+        double f_ratio = machine.freqGHz / 1.0;
+        return 0.6 + 0.4 * std::min(1.0, f_ratio);
+    }
+
+    double
+    staticPowerW() const
+    {
+        double sram_bytes = static_cast<double>(
+            hier.l1i.sizeBytes + hier.l1d.sizeBytes + hier.l2.sizeBytes +
+            predictorBytes(pred));
+        double core = 0.05 * machine.width * (0.7 + 0.1 * machine.depth());
+        double sram = 0.25 * sram_bytes / (1024.0 * 1024.0);
+        return (core + sram) * voltageScale();
+    }
+
+    EnergyBreakdown
+    energy(const ActivityCounts &activity) const
+    {
+        EnergyBreakdown out;
+        double v = voltageScale();
+        double v2 = v * v;
+        double w = machine.width;
+        double per_instr = 0.06 * (1.0 + 0.35 * (w - 1.0));
+        double per_cycle =
+            0.012 * w * static_cast<double>(machine.depth());
+        out.coreDynamicJ = (activity.instructions * per_instr +
+                            activity.cycles * per_cycle) *
+                           v2 * 1e-9;
+        double cache_nj =
+            activity.l1iAccesses *
+                sramAccessNj(hier.l1i.sizeBytes, hier.l1i.assoc) +
+            activity.l1dAccesses *
+                sramAccessNj(hier.l1d.sizeBytes, hier.l1d.assoc) +
+            activity.l2Accesses *
+                sramAccessNj(hier.l2.sizeBytes, hier.l2.assoc) +
+            activity.branches *
+                sramAccessNj(
+                    std::max<std::uint64_t>(predictorBytes(pred), 64), 1);
+        out.cacheDynamicJ = cache_nj * v2 * 1e-9;
+        out.memoryDynamicJ = activity.memAccesses * 4.0 * 1e-9;
+        double seconds = activity.cycles / (machine.freqGHz * 1e9);
+        out.staticJ = staticPowerW() * seconds;
+        return out;
+    }
+
+    double
+    edp(const ActivityCounts &activity) const
+    {
+        double seconds = activity.cycles / (machine.freqGHz * 1e9);
+        return energy(activity).totalJ() * seconds;
+    }
+};
+
+/** True when @p a and @p b hold the same bits in every field. */
+::testing::AssertionResult
+sameEnergy(const EnergyBreakdown &a, const EnergyBreakdown &b)
+{
+    if (a.coreDynamicJ == b.coreDynamicJ &&
+        a.cacheDynamicJ == b.cacheDynamicJ &&
+        a.memoryDynamicJ == b.memoryDynamicJ && a.staticJ == b.staticJ)
+        return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure()
+           << "core " << a.coreDynamicJ << " vs " << b.coreDynamicJ
+           << ", cache " << a.cacheDynamicJ << " vs " << b.cacheDynamicJ
+           << ", memory " << a.memoryDynamicJ << " vs "
+           << b.memoryDynamicJ << ", static " << a.staticJ << " vs "
+           << b.staticJ;
+}
+
+/** A seeded point: every predictor, `wide` L2 geometries, widths
+ *  1-16, depths up to the bound, frequencies across the admitted
+ *  range (log-uniform). */
+DesignPoint
+seededPowerPoint(Rng &rng, const std::vector<PredictorKind> &predictors)
+{
+    static const SpaceSpec wide = SpaceSpec::wide();
+    DesignPoint p;
+    p.l2KB = wide.l2KB[rng.below(wide.l2KB.size())];
+    p.l2Assoc = wide.l2Assoc[rng.below(wide.l2Assoc.size())];
+    const std::uint32_t depths[] = {5, 6, 9, 17, 64,
+                                    SpaceSpec::kMaxDepth - 1,
+                                    SpaceSpec::kMaxDepth};
+    p.depth = depths[rng.below(std::size(depths))];
+    p.freqGHz = SpaceSpec::kMinFreqGHz *
+                std::pow(SpaceSpec::kMaxFreqGHz / SpaceSpec::kMinFreqGHz,
+                         rng.uniform());
+    p.width = static_cast<std::uint32_t>(rng.range(1, 16));
+    p.predictor = predictors[rng.below(predictors.size())];
+    return p;
+}
+
+TEST(PowerModel, PrecomputedTermsMatchTheFormula)
+{
+    Rng rng(0x706f776572ull);
+    const std::vector<PredictorKind> every = {
+        PredictorKind::NotTaken, PredictorKind::Taken,
+        PredictorKind::Bimodal,  PredictorKind::Gshare1K,
+        PredictorKind::Local,    PredictorKind::Hybrid3K5};
+    for (int i = 0; i < 2000; ++i) {
+        const DesignPoint p = seededPowerPoint(rng, every);
+        const ReferencePower ref{machineFor(p), hierarchyFor(p),
+                                 p.predictor};
+        const PowerModel pm(ref.machine, ref.hier, ref.pred);
+        ActivityCounts a;
+        a.instructions = std::floor(1e3 + 1e7 * rng.uniform());
+        a.cycles = a.instructions * (0.2 + 40.0 * rng.uniform());
+        a.l1iAccesses = a.instructions;
+        a.l1dAccesses = std::floor(a.instructions * rng.uniform());
+        a.l2Accesses = std::floor(a.l1dAccesses * rng.uniform());
+        a.memAccesses = std::floor(a.l2Accesses * rng.uniform());
+        a.branches = std::floor(a.instructions * 0.3 * rng.uniform());
+        ASSERT_TRUE(sameEnergy(pm.energy(a), ref.energy(a))) << p.toKey();
+        ASSERT_EQ(pm.edp(a), ref.edp(a)) << p.toKey();
+        ASSERT_EQ(pm.staticPowerW(), ref.staticPowerW()) << p.toKey();
+        ASSERT_EQ(pm.voltageScale(), ref.voltageScale()) << p.toKey();
+    }
+
+    // Every backend finishes its result from the point's shared terms:
+    // its energy and EDP equal the formula over its own activity.
+    const DseStudy study(profileByName("sha"), 5000);
+    const BackendSet backends = backendSet("model,ooo");
+    for (int i = 0; i < 100; ++i) {
+        const DesignPoint p = seededPowerPoint(
+            rng, {PredictorKind::Gshare1K, PredictorKind::Hybrid3K5});
+        const ReferencePower ref{machineFor(p), hierarchyFor(p),
+                                 p.predictor};
+        for (const EvalResult &res : study.evaluate(p, backends).results) {
+            ASSERT_TRUE(sameEnergy(res.energy, ref.energy(res.activity)))
+                << res.backend << " at " << p.toKey();
+            ASSERT_EQ(res.edp, ref.edp(res.activity))
+                << res.backend << " at " << p.toKey();
+        }
+    }
 }
 
 // ---- design space -------------------------------------------------------------------

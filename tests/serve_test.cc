@@ -424,6 +424,34 @@ TEST(ServeSession, PathologicalGeometryIsRejectedNotAllocated)
     }
 }
 
+TEST(ServeSession, PathologicalDepthIsRefusedAndTheSessionContinues)
+{
+    // `sim` sizes per-stage front-end state from the depth: at 2^32-1
+    // one request would allocate gigabytes and abort the server.
+    // SpaceSpec::kMaxDepth refuses it, and the next line is answered.
+    EvalService service(testConfig());
+    auto eval = [](int id, const std::string &depth) {
+        return "{\"id\": " + std::to_string(id) +
+               ", \"type\": \"eval\", \"backends\": [\"model\", "
+               "\"sim\"], \"point\": \"l2kb=512,assoc=8,depth=" +
+               depth + ",freq=1,width=4,pred=gshare1k\"}\n";
+    };
+    const std::vector<std::string> lines = serveLines(
+        eval(1, "4294967295") +
+            eval(2, std::to_string(SpaceSpec::kMaxDepth + 1)) +
+            eval(3, "9"),
+        service);
+    ASSERT_EQ(lines.size(), 3u);
+    for (std::size_t i = 0; i < 2; ++i) {
+        const json::Value v = parsedResponse(lines[i]);
+        EXPECT_EQ(typeOf(v), "error") << lines[i];
+        EXPECT_NE(v.get("error")->string.find("above maximum 1024"),
+                  std::string::npos)
+            << lines[i];
+    }
+    EXPECT_EQ(typeOf(parsedResponse(lines[2])), "result") << lines[2];
+}
+
 TEST(ServeSession, WideBatchIsCappedByMaxSpace)
 {
     ServeConfig cfg = testConfig();
@@ -722,7 +750,7 @@ edgePoint(Rng &rng)
     p.l2Assoc = std::min<std::uint32_t>(
         pick(std::vector<std::uint32_t>{1, 2, 1u << 19, 1u << 20}),
         static_cast<std::uint32_t>(p.l2KB * 16));
-    p.depth = pick(edges<std::uint32_t>(5, UINT32_MAX));
+    p.depth = pick(edges<std::uint32_t>(5, SpaceSpec::kMaxDepth));
     p.freqGHz = pick(freqEdges());
     p.width = pick(edges<std::uint32_t>(1, 16));
     p.predictor = rng.chance(0.5) ? PredictorKind::Gshare1K
@@ -775,7 +803,7 @@ TEST(ServeProperty, EveryAdmittedEdgeAnswersFiniteJson)
 
     // Batches sweep the bounds themselves, through frontierResponse.
     std::string depth_axis;
-    const auto depths = edges<std::uint32_t>(5, UINT32_MAX);
+    const auto depths = edges<std::uint32_t>(5, SpaceSpec::kMaxDepth);
     const auto freqs = freqEdges();
     for (std::size_t i = 0; i < depths.size(); ++i) {
         if (i)
