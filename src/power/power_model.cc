@@ -29,18 +29,6 @@ sramAccessNj(std::uint64_t bytes, std::uint32_t assoc)
     return kSram32kNj * size_scale * assoc_scale;
 }
 
-/**
- * Supply-voltage scale at @p freq_ghz.  Lower-frequency design points
- * run at proportionally lower supply: V/Vmax = 0.6 + 0.4 f/fmax
- * (clamped below by retention).
- */
-double
-voltageScaleAt(double freq_ghz)
-{
-    double f_ratio = freq_ghz / kMaxFreqGHz;
-    return 0.6 + 0.4 * std::min(1.0, f_ratio);
-}
-
 } // namespace
 
 PowerModel::PowerModel(const MachineParams &machine,
@@ -48,7 +36,10 @@ PowerModel::PowerModel(const MachineParams &machine,
 {
     machine.validate();
     hz = machine.freqGHz * 1e9;
-    voltage = voltageScaleAt(machine.freqGHz);
+    // Lower-frequency design points run at proportionally lower
+    // supply: V/Vmax = 0.6 + 0.4 f/fmax (clamped below by retention).
+    double f_ratio = machine.freqGHz / kMaxFreqGHz;
+    voltage = 0.6 + 0.4 * std::min(1.0, f_ratio);
     v2 = voltage * voltage; // dynamic energy scales with V^2
 
     // Core: per-instruction work grows with width (bypass, ports);
